@@ -38,6 +38,9 @@ CELL_AREA_RATE = 3.5
 UNIT_CELL_COEFFS = (6.029, 1.0, 3.891, 2.7)
 
 _MIX_NODES = 192
+# (n, k) entries per block of the delivery kernel, which bounds its arrays
+# at this plus one k_max_cap segment (a few MB)
+_BLOCK_ENTRIES = 1 << 15
 _LN2 = math.log(2.0)
 
 Coeffs = Union[FitResult, Sequence[float], None]
@@ -133,17 +136,24 @@ def _area_mixture(s: float, coeffs: tuple):
 # energy readiness
 # ---------------------------------------------------------------------------
 
+def _link_budget(r1: float, params: NetworkParams):
+    """(demand, per_slot) at serving distance r1: the e_th requirement
+    referred to the serving link's path gain, and the mean far-field
+    harvest of one slot on the same scale."""
+    demand = params.e_th * r1 ** params.alpha / (params.a_eff * params.p_s)
+    per_slot = (2.0 * math.pi * params.lambda_b * r1 * r1
+                / (params.alpha - 2.0))
+    return demand, per_slot
+
+
 def theta(k: int, n: int, r1: float, params: NetworkParams) -> float:
     """Residual energy demand on the serving link after k rounds with n
     other users in the cell: the e_th requirement referred to the serving
     link's path gain, minus the mean far-field harvest over the
     k*(n+1)-1 elapsed slots."""
     _check_kn(k, n, r1)
-    slots = k * (n + 1) - 1
-    demand = params.e_th * r1 ** params.alpha / (params.a_eff * params.p_s)
-    far_field = (2.0 * math.pi * slots * params.lambda_b * r1 * r1
-                 / (params.alpha - 2.0))
-    return demand - far_field
+    demand, per_slot = _link_budget(r1, params)
+    return demand - per_slot * (k * (n + 1) - 1)
 
 
 def energy_ready_prob(k: int, n: int, r1: float, params: NetworkParams,
@@ -188,52 +198,57 @@ def _check_kn(k, n, r1):
         raise ValueError("r1 must be positive")
 
 
-def _ready_curve(n: int, r1: float, params: NetworkParams,
-                 policy: NumericPolicy):
-    """Readiness probability for rounds 1..K as vectors (ks, F).
+def _mean_inverse_rounds(ns: np.ndarray, r1: float, params: NetworkParams,
+                         policy: NumericPolicy) -> np.ndarray:
+    """E[1/K] for each cell population in ns at serving distance r1, where
+    K is the first round whose scheduled slot finds the store full.
 
-    The series terminates exactly: once the mean far field covers the
-    demand, readiness is 1 and no later round carries mass.  The curve is
-    also cut early when it climbs within series_tail_eps of 1, and hard
-    capped at k_max_cap.
+    Each n's readiness curve over rounds k = 1..k_top is one segment of a
+    ragged array, so a block of populations takes one gammaincc call.  A
+    segment ends exactly at k_star, the first round whose mean far field
+    alone covers the demand (readiness 1, no later mass), is hard capped at
+    k_max_cap, and is cut early at the first readiness within
+    series_tail_eps of 1.  Truncated tail mass is simply dropped; it
+    contributes at most its own mass since 1/k <= 1.  A clamped
+    distribution exceeding unit mass is renormalized.  Whole segments are
+    taken about _BLOCK_ENTRIES entries at a time, because at large r1
+    every segment runs to k_max_cap.
     """
-    demand = params.e_th * r1 ** params.alpha / (params.a_eff * params.p_s)
-    per_slot = (2.0 * math.pi * params.lambda_b * r1 * r1
-                / (params.alpha - 2.0))
-    slots_needed = demand / per_slot
-    k_star = max(1, math.ceil((slots_needed + 1.0) / (n + 1)))
-    k_top = min(k_star, policy.k_max_cap)
-    ks = np.arange(1, k_top + 1)
-    slots = ks * (n + 1) - 1
-    th = demand - per_slot * slots
-    if policy.erlang_index_mode is ErlangIndexMode.SLOT_COUNT:
-        m = slots
-    else:
-        m = ks
-    F = np.ones(len(ks))
-    zero_shape = m == 0
-    F[zero_shape & (th > 0)] = 0.0
-    live = (m > 0) & (th > 0)
-    if np.any(live):
+    demand, per_slot = _link_budget(r1, params)
+    ns = np.asarray(ns, dtype=np.int64)
+    k_star = np.maximum(1.0, np.ceil((demand / per_slot + 1.0) / (ns + 1)))
+    lengths = np.minimum(k_star, policy.k_max_cap).astype(np.int64)
+    block_of = (np.cumsum(lengths) - 1) // _BLOCK_ENTRIES
+    cuts = [0, *(np.flatnonzero(np.diff(block_of)) + 1), len(ns)]
+    round_count = policy.erlang_index_mode is ErlangIndexMode.ROUND_COUNT
+    out = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        block, seg_len = ns[lo:hi], lengths[lo:hi]
+        ends = np.cumsum(seg_len)
+        starts = ends - seg_len
+        seg = np.repeat(np.arange(len(block)), seg_len)
+        pos = np.arange(ends[-1])
+        ks = pos - starts[seg] + 1
+        slots = ks * (block[seg] + 1) - 1
+        th = demand - per_slot * slots
+        m = ks if round_count else slots
+        F = np.ones(len(pos))
+        F[(m == 0) & (th > 0)] = 0.0
+        live = (m > 0) & (th > 0)
         F[live] = special.gammaincc(m[live], th[live])
-    done = np.nonzero(F >= 1.0 - policy.series_tail_eps)[0]
-    if done.size:
-        stop = done[0] + 1
-        ks, F = ks[:stop], F[:stop]
-    return ks, F
 
-
-def _mean_inverse_rounds(ks: np.ndarray, pmf: np.ndarray) -> float:
-    """Expectation of 1/K over a (possibly truncated) rounds distribution.
-
-    Truncated tail mass is simply dropped; it contributes at most its own
-    mass since 1/k <= 1.  A clamped distribution exceeding unit mass is
-    renormalized."""
-    total = float(pmf.sum())
-    value = float(np.sum(pmf / ks))
-    if total > 1.0:
-        value /= total
-    return min(max(value, 0.0), 1.0)
+        # rounds after each segment's first readiness within
+        # series_tail_eps of 1 are dropped; len(pos) marks "none"
+        done = np.where(F >= 1.0 - policy.series_tail_eps, pos, len(pos))
+        stop = np.minimum(np.minimum.reduceat(done, starts) + 1, ends)
+        # readiness one round earlier, 0 before each segment's first round
+        prev = np.concatenate(([0.0], F[:-1]))
+        prev[starts] = 0.0
+        pmf = np.where(pos < stop[seg], np.clip(F - prev, 0.0, None), 0.0)
+        mass = np.add.reduceat(pmf, starts)
+        value = np.add.reduceat(pmf / ks, starts)
+        out.append(np.clip(value / np.maximum(mass, 1.0), 0.0, 1.0))
+    return np.concatenate(out)
 
 
 def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
@@ -242,9 +257,7 @@ def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
     other users in the cell at serving distance r1: a user needing K rounds
     to charge succeeds once per K, so this is E[1/K]."""
     _check_kn(1, n, r1)
-    ks, F = _ready_curve(n, r1, params, policy)
-    pmf = np.clip(np.diff(np.concatenate(([0.0], F))), 0.0, None)
-    return _mean_inverse_rounds(ks, pmf)
+    return float(_mean_inverse_rounds(np.array([n]), r1, params, policy)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +294,7 @@ def _per_distance(r1: float, params: NetworkParams, policy: NumericPolicy):
     xi, wt = _area_mixture(s, UNIT_CELL_COEFFS)
     mean_users = (params.lambda_u / params.lambda_b) * float(np.dot(wt, xi))
 
-    demand = params.e_th * r1 ** params.alpha / (params.a_eff * params.p_s)
-    per_slot = (2.0 * math.pi * params.lambda_b * r1 * r1
-                / (params.alpha - 2.0))
+    demand, per_slot = _link_budget(r1, params)
     n_ready = min(math.ceil(demand / per_slot), policy.n_max_cap)
 
     if n_ready == 0:
@@ -297,8 +308,7 @@ def _per_distance(r1: float, params: NetworkParams, policy: NumericPolicy):
     logp = (ns[:, None] * np.log(mu)[None, :] - mu[None, :]
             - special.gammaln(ns + 1.0)[:, None])
     p_small = np.exp(logp) @ wt
-    t_small = np.array([delivery_prob_given_n_r1(int(n), r1, params, policy)
-                        for n in ns])
+    t_small = _mean_inverse_rounds(ns, r1, params, policy)
     covered = float(p_small.sum())
     p_tr = float(np.dot(p_small, t_small)) + max(0.0, 1.0 - covered)
     return min(max(p_tr, 0.0), 1.0), mean_users
@@ -348,39 +358,20 @@ def delivery_prob(params: NetworkParams,
 # link capacity and throughput
 # ---------------------------------------------------------------------------
 
-_RHO_REL_TOL = 1e-11
-
-
-def rho(x: float, alpha: float, policy: Optional[NumericPolicy] = None) -> float:
-    """Interference scaling exponent of the SIR tail:
-    x^(2/alpha) * integral_{x^(-2/alpha)}^inf du / (1 + u^(alpha/2)).
+def rho(x: float, alpha: float) -> float:
+    """Interference scaling exponent of the SIR tail,
+    x^(2/alpha) * integral_{x^(-2/alpha)}^inf du / (1 + u^(alpha/2)),
+    in its closed form 2x/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -x)
+    (Andrews, Baccelli and Ganti, IEEE TCOM 2011).  x * 2F1 is formed
+    first: it grows like x^(2/alpha), so it stays finite for every finite x.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     if not alpha > 2:
         raise ValueError("alpha must exceed 2")
-    tol = _RHO_REL_TOL if policy is None else min(policy.quad_rel_tol,
-                                                  _RHO_REL_TOL)
-    return _rho_cached(float(x), float(alpha), tol)
-
-
-@lru_cache(maxsize=200_000)
-def _rho_cached(x: float, alpha: float, tol: float) -> float:
-    lower = x ** (-2.0 / alpha)
-    half = alpha / 2.0
-
-    def tail(w):
-        base = lower + w
-        if base <= 0.0:
-            return 1.0
-        t = half * math.log(base)
-        if t > 700.0:
-            return 0.0
-        return 1.0 / (1.0 + math.exp(t))
-
-    pol = NumericPolicy(quad_rel_tol=tol)
-    res = integrate_semi_infinite(tail, pol, scale=max(lower, 1.0))
-    return x ** (2.0 / alpha) * res.value
+    a = 2.0 / alpha
+    return float(x * special.hyp2f1(1.0, 1.0 - a, 2.0 - a, -x)
+                 * (2.0 / (alpha - 2.0)))
 
 
 def capacity_ccdf(t: float, r1: float, params: NetworkParams) -> float:
@@ -390,20 +381,26 @@ def capacity_ccdf(t: float, r1: float, params: NetworkParams) -> float:
         raise ValueError("t must be non-negative")
     if not r1 > 0:
         raise ValueError("r1 must be positive")
+    return _rate_ccdf(t, r1, params.lambda_b, params.alpha, params.sigma2,
+                      params.p_s)
+
+
+def _rate_ccdf(t, r1, lambda_b, alpha, sigma2, p_s):
+    """capacity_ccdf on the four NetworkParams fields the link rate
+    depends on, which key the mean-rate cache."""
     if t == 0:
         return 1.0
     try:
         snr_th = math.expm1(t * _LN2)
     except OverflowError:
         return 0.0
-    if params.sigma2 > 0:
+    if sigma2 > 0:
         # sigma2 first, so a huge threshold overflows to +inf (ccdf 0)
         # instead of forming inf*0 when noise is switched off
-        noise = snr_th * params.sigma2 / params.p_s * r1 ** params.alpha
+        noise = snr_th * sigma2 / p_s * r1 ** alpha
     else:
         noise = 0.0
-    interf = (math.pi * params.lambda_b * r1 * r1
-              * rho(snr_th, params.alpha))
+    interf = math.pi * lambda_b * r1 * r1 * rho(snr_th, alpha)
     total = noise + interf
     if math.isinf(total):
         return 0.0
@@ -417,7 +414,9 @@ def _rho_asymptote(alpha: float) -> float:
 
 def expected_capacity_given_r1(r1: float, params: NetworkParams,
                                policy: NumericPolicy) -> float:
-    """Mean link rate at serving distance r1, integrating the rate CCDF."""
+    """Mean link rate at serving distance r1, integrating the rate CCDF.
+    Cached on the fields it depends on, so sweeps over user density or
+    e_th reuse it."""
     if not r1 > 0:
         raise ValueError("r1 must be positive")
     return _expected_capacity_cached(
@@ -427,8 +426,6 @@ def expected_capacity_given_r1(r1: float, params: NetworkParams,
 
 @lru_cache(maxsize=100_000)
 def _expected_capacity_cached(r1, lambda_b, alpha, sigma2, p_s, rel_tol):
-    params = NetworkParams(lambda_b=lambda_b, lambda_u=0.0, p_s=p_s,
-                           alpha=alpha, a_eff=0.5, e_th=1.0, sigma2=sigma2)
     q = math.pi * lambda_b * r1 * r1
     # scale of the rate integral: where the interference (or noise) exponent
     # reaches order one
@@ -438,8 +435,9 @@ def _expected_capacity_cached(r1, lambda_b, alpha, sigma2, p_s, rel_tol):
     snr_star = min(snr_interf, snr_noise)
     t_scale = max(0.5, math.log2(1.0 + min(snr_star, 1e300)))
     pol = NumericPolicy(quad_rel_tol=rel_tol)
-    res = integrate_semi_infinite(lambda t: capacity_ccdf(t, r1, params),
-                                  pol, scale=t_scale)
+    res = integrate_semi_infinite(
+        lambda t: _rate_ccdf(t, r1, lambda_b, alpha, sigma2, p_s),
+        pol, scale=t_scale)
     return res.value
 
 

@@ -112,6 +112,52 @@ def test_exact_two_round_charge_gives_half(policy):
     assert analytic.delivery_prob_given_n_r1(0, 30.0, p, policy) == 0.5
 
 
+def _inverse_rounds_by_scalar(n, r1, params, policy):
+    """E[1/K] summed from scalar rounds_pmf, round by round, until the
+    readiness is within 1e-12 of 1 or k_max_cap is reached."""
+    value = mass = 0.0
+    for k in range(1, policy.k_max_cap + 1):
+        pmf = analytic.rounds_pmf(k, n, r1, params, policy)
+        value += pmf / k
+        mass += pmf
+        if mass >= 1.0 - 1e-12:
+            break
+    return value
+
+
+@pytest.mark.parametrize("block", [1000, analytic._BLOCK_ENTRIES])
+@pytest.mark.parametrize("mode", list(ErlangIndexMode))
+@pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0])
+def test_delivery_kernel_matches_scalar_rounds(alpha, mode, block,
+                                               monkeypatch):
+    """The vectorised kernel's E[1/K] for every n < n_ready against the
+    round-by-round sum over rounds_pmf, which reaches the readiness through
+    energy_ready_prob and poisson_cdf_upper.  The two differ only by the
+    kernel's series_tail_eps cut, hence abs 1e-8.  At r1 = 70 m, alpha = 4,
+    e_th = 70 uJ and 100 stations/km^2, n_ready hits n_max_cap.  Blocks of
+    1000 entries, shorter than one k_max_cap segment, make the larger
+    cases span many kernel blocks."""
+    monkeypatch.setattr(analytic, "_BLOCK_ENTRIES", block)
+    policy = NumericPolicy(erlang_index_mode=mode)
+    hit_cap = False
+    for e_th in (1e-5, 7e-5):
+        for lambda_b_km2 in (100.0, 1000.0):
+            p = params_at(lambda_b_km2=lambda_b_km2, e_th=e_th, alpha=alpha)
+            for r1 in (20.0, 45.0, 70.0):
+                demand = e_th * r1 ** alpha / 0.5
+                per_slot = 2.0 * math.pi * p.lambda_b * r1 ** 2 / (alpha - 2)
+                n_ready = min(math.ceil(demand / per_slot), policy.n_max_cap)
+                hit_cap |= n_ready == policy.n_max_cap
+                ns = np.arange(n_ready)
+                got = analytic._mean_inverse_rounds(ns, r1, p, policy)
+                want = [_inverse_rounds_by_scalar(int(n), r1, p, policy)
+                        for n in ns]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8,
+                                           err_msg=str((e_th, lambda_b_km2,
+                                                        r1)))
+    assert hit_cap == (alpha == 4.0)
+
+
 def test_large_population_delivers_first_try(policy):
     p = params_at(lambda_u_km2=0.0)
     assert analytic.delivery_prob_given_n_r1(1, 30.0, p, policy) == 1.0
@@ -197,13 +243,39 @@ def test_rho_closed_form_alpha_four():
 
 def test_rho_hypergeometric_oracle():
     """Independent route through the Gauss hypergeometric representation
-    2x/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -x)."""
+    2x/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -x), in 30-digit
+    arithmetic, down to alpha near 2 where the tail decays slowest."""
     mpmath.mp.dps = 30
-    for alpha in (2.5, 3.0, 4.0, 5.5):
-        for x in (0.1, 1.0, 10.0):
+    for alpha in (2.05, 2.2, 2.5, 3.0, 4.0, 5.5):
+        for x in np.logspace(-8, 12, 21):
             ref = float(2 * x / (alpha - 2)
                         * mpmath.hyp2f1(1, 1 - 2 / alpha, 2 - 2 / alpha, -x))
             assert analytic.rho(x, alpha) == pytest.approx(ref, rel=1e-9)
+
+
+def test_rho_matches_its_integral_definition():
+    """x^(2/alpha) * integral_{x^(-2/alpha)}^inf du / (1 + u^(alpha/2)),
+    integrated in 30-digit arithmetic after u = w^(-2/(alpha-2)), which
+    maps the slowly decaying tail onto the finite range [0, x^(1-2/alpha)]
+    with a bounded integrand."""
+    mpmath.mp.dps = 30
+    for alpha in (2.05, 2.2, 3.0, 5.5):
+        a = mpmath.mpf(alpha)
+        for x in (1e-8, 1e-2, 1.0, 1e4, 1e12):
+            top = mpmath.mpf(x) ** (1 - 2 / a)
+            nodes = [0, top] if top <= 1 else [0, 1, top]
+            ref = float(mpmath.mpf(x) ** (2 / a) * 2 / (a - 2)
+                        * mpmath.quad(lambda w: 1 / (1 + w ** (a / (a - 2))),
+                                      nodes))
+            assert analytic.rho(x, alpha) == pytest.approx(ref, rel=1e-9)
+
+
+def test_rho_finite_and_increasing_up_to_huge_thresholds():
+    xs = np.logspace(-8, 300, 309)
+    for alpha in (2.05, 2.2, 3.0, 8.0):
+        vals = [analytic.rho(x, alpha) for x in xs]
+        assert all(math.isfinite(v) and v > 0 for v in vals), alpha
+        assert all(b > a for a, b in zip(vals, vals[1:])), alpha
 
 
 def test_rho_validation():
@@ -336,6 +408,14 @@ def test_mean_field_error_is_bounded_and_visible(policy):
 # ---------------------------------------------------------------------------
 # throughput assembly
 # ---------------------------------------------------------------------------
+
+def test_total_throughput_near_alpha_two(policy):
+    """alpha = 2.2 passes validation, so the rate chain must give a number:
+    the value recorded with rho in closed form at 100 stations and 450
+    users per km^2, e_th = 10 uJ."""
+    rep = analytic.total_throughput(params_at(alpha=2.2), policy)
+    assert rep.t_total == pytest.approx(3.575853909693542e-05, rel=1e-4)
+
 
 def test_total_throughput_combines_factors(baseline_params, policy):
     rep = analytic.total_throughput(baseline_params, policy)

@@ -331,6 +331,18 @@ def test_analytic_command_override(tmp_path, capsys):
                                          policy).expected_users_typical_cell
 
 
+def test_analytic_command_near_alpha_two(tmp_path, capsys):
+    """alpha = 2.2 passes validation, so every default metric must come
+    out finite, the rate chain's t_avg and t_total included."""
+    cfg_path = write_cfg(tmp_path, BASE_NETWORK.replace(
+        "alpha = 3.0", "alpha = 2.2"))
+    assert cli.main(["analytic", "--config", cfg_path]) == 0
+    out = dict(line.split("=", 1)
+               for line in capsys.readouterr().out.splitlines())
+    assert set(out) == {"p_tr", "t_avg", "t_total", "mean_users"}
+    assert all(math.isfinite(float(v)) for v in out.values())
+
+
 def test_analytic_command_unknown_metric(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE_NETWORK)
     assert cli.main(["analytic", "--config", cfg_path,
