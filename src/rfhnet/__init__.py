@@ -1,42 +1,8 @@
 """Stochastic-geometry model of a cellular downlink whose receivers power
 themselves by harvesting RF energy from the network's own transmissions,
-with a matching slot-level Monte Carlo simulator and experiment tooling."""
+with a matching slot-level Monte Carlo simulator and experiment tooling.
 
-from .core import (ErlangIndexMode, NetworkParams, NumericPolicy,
-                   per_km2_to_per_m2, per_m2_to_per_km2, validate)
-from .numerics import (FitResult, QuadResult, QuadratureError,
-                       integrate_semi_infinite, log_gamma,
-                       minimize_least_squares, poisson_cdf_upper)
-from .analytic import (DeliveryBreakdown, ThroughputReport,
-                       active_station_density, avg_cell_throughput,
-                       capacity_ccdf, cell_area_pdf,
-                       conditional_distance_pdf, delivery_prob,
-                       delivery_prob_given_n_r1, delivery_prob_given_r1,
-                       energy_ready_prob, expected_capacity_given_r1,
-                       fit_conditional_distance_pdf, nearest_distance_pdf,
-                       reconstructed_distance_pdf, rho, rounds_pmf,
-                       sustainable_ratio, theta, total_throughput,
-                       users_pmf_given_r1)
-from .mcsim import (FieldRealization, SimConfig, SimOutcome, estimate,
-                    run_replication, sample_field)
-from .config import ConfigError, SweepSpec, load_config
+The package is used through its submodules, e.g. `from rfhnet import
+analytic`; see core, numerics, analytic, mcsim, config and cli."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ErlangIndexMode", "NetworkParams", "NumericPolicy",
-    "per_km2_to_per_m2", "per_m2_to_per_km2", "validate",
-    "FitResult", "QuadResult", "QuadratureError", "integrate_semi_infinite",
-    "log_gamma", "minimize_least_squares", "poisson_cdf_upper",
-    "DeliveryBreakdown", "ThroughputReport", "active_station_density",
-    "avg_cell_throughput", "capacity_ccdf", "cell_area_pdf",
-    "conditional_distance_pdf", "delivery_prob", "delivery_prob_given_n_r1",
-    "delivery_prob_given_r1", "energy_ready_prob",
-    "expected_capacity_given_r1", "fit_conditional_distance_pdf",
-    "nearest_distance_pdf", "reconstructed_distance_pdf", "rho",
-    "rounds_pmf", "sustainable_ratio", "theta", "total_throughput",
-    "users_pmf_given_r1",
-    "FieldRealization", "SimConfig", "SimOutcome", "estimate",
-    "run_replication", "sample_field",
-    "ConfigError", "SweepSpec", "load_config",
-]

@@ -264,6 +264,17 @@ def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
 # cell population and delivery probability
 # ---------------------------------------------------------------------------
 
+def _users_pmf(ns: np.ndarray, xi: np.ndarray, wt: np.ndarray,
+               params: NetworkParams) -> np.ndarray:
+    """Probability of each cell population in ns: a Poisson count with mean
+    (lambda_u/lambda_b)*xi, mixed over the area nodes xi with weights wt
+    from _area_mixture.  Needs lambda_u > 0."""
+    mu = (params.lambda_u / params.lambda_b) * xi
+    logp = (ns[:, None] * np.log(mu)[None, :] - mu[None, :]
+            - special.gammaln(ns + 1.0)[:, None])
+    return np.exp(logp) @ wt
+
+
 def users_pmf_given_r1(n: int, r1: float, params: NetworkParams,
                        policy: NumericPolicy) -> float:
     """Probability of n other users sharing the cell, given serving
@@ -274,11 +285,9 @@ def users_pmf_given_r1(n: int, r1: float, params: NetworkParams,
         raise ValueError("r1 must be positive")
     if params.lambda_u == 0:
         return 1.0 if n == 0 else 0.0
-    s = r1 * math.sqrt(params.lambda_b)
-    xi, wt = _area_mixture(s, UNIT_CELL_COEFFS)
-    mu = (params.lambda_u / params.lambda_b) * xi
-    logp = n * np.log(mu) - mu - log_gamma(n + 1)
-    return float(min(max(np.dot(np.exp(logp), wt), 0.0), 1.0))
+    xi, wt = _area_mixture(r1 * math.sqrt(params.lambda_b), UNIT_CELL_COEFFS)
+    p = _users_pmf(np.array([int(n)]), xi, wt, params)[0]
+    return float(min(max(p, 0.0), 1.0))
 
 
 @lru_cache(maxsize=100_000)
@@ -304,10 +313,7 @@ def _per_distance(r1: float, params: NetworkParams, policy: NumericPolicy):
         return p_tr, mean_users
 
     ns = np.arange(n_ready)
-    mu = (params.lambda_u / params.lambda_b) * xi
-    logp = (ns[:, None] * np.log(mu)[None, :] - mu[None, :]
-            - special.gammaln(ns + 1.0)[:, None])
-    p_small = np.exp(logp) @ wt
+    p_small = _users_pmf(ns, xi, wt, params)
     t_small = _mean_inverse_rounds(ns, r1, params, policy)
     covered = float(p_small.sum())
     p_tr = float(np.dot(p_small, t_small)) + max(0.0, 1.0 - covered)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 import time
@@ -25,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import analytic
-from .config import (ConfigError, SweepSpec, load_config, resolved_lines)
-from .core import (NetworkParams, NumericPolicy, per_km2_to_per_m2,
-                   per_m2_to_per_km2)
+from .config import (METRICS, PER_KM2_KEYS, SWEEPABLE, ConfigError,
+                     SweepSpec, load_config, resolved_lines, to_field)
+from .core import NetworkParams, NumericPolicy
 from .mcsim import SimConfig, estimate
 
 _DEFAULT_POINT_METRICS = ("p_tr", "t_avg", "t_total", "mean_users")
@@ -51,34 +50,39 @@ def _fmt(x: Optional[float]) -> str:
 
 def _apply_value(params: NetworkParams, parameter: str,
                  value: float) -> NetworkParams:
-    if parameter == "lambda_b":
-        return dataclasses.replace(params,
-                                   lambda_b=per_km2_to_per_m2(value))
-    if parameter == "lambda_u":
-        return dataclasses.replace(params,
-                                   lambda_u=per_km2_to_per_m2(value))
-    if parameter == "e_th":
-        return dataclasses.replace(params, e_th=value)
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    return dataclasses.replace(params, **{parameter: to_field(parameter,
+                                                              value)})
 
 
-def _analytic_metrics(params: NetworkParams, policy: NumericPolicy,
-                      metrics: Tuple[str, ...]) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    if "p_tr" in metrics or "mean_users" in metrics:
-        br = analytic.delivery_prob(params, policy)
-        out["p_tr"] = br.p_tr
-        out["mean_users"] = br.expected_users_typical_cell
-    if "t_total" in metrics:
-        rep = analytic.total_throughput(params, policy)
-        out["t_total"] = rep.t_total
-        out["t_avg"] = rep.t_avg
-    elif "t_avg" in metrics:
-        out["t_avg"] = analytic.avg_cell_throughput(params, policy)
-    if "sustainable_ratio" in metrics:
-        out["sustainable_ratio"] = analytic.sustainable_ratio(
-            params.lambda_b, params, policy)
-    return {m: out[m] for m in metrics if m in out}
+def _delivery(params, policy):
+    br = analytic.delivery_prob(params, policy)
+    return {"p_tr": br.p_tr, "mean_users": br.expected_users_typical_cell}
+
+
+def _throughput(params, policy):
+    rep = analytic.total_throughput(params, policy)
+    return {"t_avg": rep.t_avg, "t_total": rep.t_total}
+
+
+def _sustainable(params, policy):
+    return {"sustainable_ratio": analytic.sustainable_ratio(
+        params.lambda_b, params, policy)}
+
+
+# analytic stages: the metrics one call of each yields
+_ANALYTIC_STAGES = ((("p_tr", "mean_users"), _delivery),
+                    (("t_avg", "t_total"), _throughput),
+                    (("sustainable_ratio",), _sustainable))
+
+# simulated metric -> (estimate, standard error) attributes of SimOutcome
+_SIM_ATTRS = {
+    "p_tr": ("p_tr_hat", "p_tr_stderr"),
+    "t_avg": ("t_avg_hat", "t_avg_stderr"),
+    "t_total": ("t_total_hat", "t_total_stderr"),
+    "mean_users": ("mean_users_per_nonempty_cell", "mean_users_stderr"),
+}
 
 
 def _point_seed(base_seed: int, index: int) -> int:
@@ -86,60 +90,50 @@ def _point_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
 
 
+def _stage_records(value: float, mode: str, wanted: Tuple[str, ...],
+                   compute) -> List[SweepRecord]:
+    """One row per wanted metric from a single compute() call, which
+    returns {metric: (result, stderr)}.  Its wall time is split across the
+    rows, and its error marks every one of them."""
+    t0 = time.perf_counter()
+    try:
+        got, error = compute(), ""
+    except Exception as exc:
+        got, error = {}, f"{type(exc).__name__}: {exc}"
+    ms = (time.perf_counter() - t0) * 1e3 / len(wanted)
+    return [SweepRecord(value, m, mode, *got.get(m, (None, None)),
+                        error=error, wall_time_ms=ms) for m in wanted]
+
+
 def _run_point(task) -> List[SweepRecord]:
     (index, value, parameter, params, policy, sim_cfg, metrics, mode) = task
-    records: List[SweepRecord] = []
     try:
         point_params = _apply_value(params, parameter, value)
     except Exception as exc:      # bad swept value: every row errors
-        for m in metrics:
-            for md in _modes_for(m, mode):
-                records.append(SweepRecord(value, m, md, None, None,
-                                           f"{type(exc).__name__}: {exc}"))
-        return records
+        return [SweepRecord(value, m, md, None, None,
+                            f"{type(exc).__name__}: {exc}")
+                for m in metrics for md in _modes_for(m, mode)]
 
-    analytic_wanted = tuple(m for m in metrics
-                            if "analytic" in _modes_for(m, mode))
-    if analytic_wanted:
-        t0 = time.perf_counter()
-        for m in analytic_wanted:
-            try:
-                vals = _analytic_metrics(point_params, policy, (m,))
-                records.append(SweepRecord(
-                    value, m, "analytic", vals[m], None, "",
-                    (time.perf_counter() - t0) * 1e3))
-            except Exception as exc:
-                records.append(SweepRecord(
-                    value, m, "analytic", None, None,
-                    f"{type(exc).__name__}: {exc}",
-                    (time.perf_counter() - t0) * 1e3))
-            t0 = time.perf_counter()
+    records: List[SweepRecord] = []
+    for stage_metrics, stage in _ANALYTIC_STAGES:
+        wanted = tuple(m for m in stage_metrics if m in metrics
+                       and "analytic" in _modes_for(m, mode))
+        if wanted:
+            records += _stage_records(
+                value, "analytic", wanted,
+                lambda: {m: (v, None) for m, v
+                         in stage(point_params, policy).items()})
 
     sim_wanted = tuple(m for m in metrics if "simulate" in _modes_for(m, mode))
     if sim_wanted:
         cfg = dataclasses.replace(sim_cfg,
                                   seed=_point_seed(sim_cfg.seed, index))
-        t0 = time.perf_counter()
-        try:
+
+        def simulated():
             outcome = estimate(point_params, cfg)
-            picked = {
-                "p_tr": (outcome.p_tr_hat, outcome.p_tr_stderr),
-                "t_avg": (outcome.t_avg_hat, outcome.t_avg_stderr),
-                "t_total": (outcome.t_total_hat, outcome.t_total_stderr),
-                "mean_users": (outcome.mean_users_per_nonempty_cell,
-                               outcome.mean_users_stderr),
-            }
-            ms = (time.perf_counter() - t0) * 1e3
-            for m in sim_wanted:
-                mean, err = picked[m]
-                records.append(SweepRecord(value, m, "simulate", mean, err,
-                                           "", ms / len(sim_wanted)))
-        except Exception as exc:
-            ms = (time.perf_counter() - t0) * 1e3
-            for m in sim_wanted:
-                records.append(SweepRecord(
-                    value, m, "simulate", None, None,
-                    f"{type(exc).__name__}: {exc}", ms / len(sim_wanted)))
+            return {m: (getattr(outcome, mean), getattr(outcome, err))
+                    for m, (mean, err) in _SIM_ATTRS.items()}
+        records += _stage_records(value, "simulate", sim_wanted, simulated)
     return records
 
 
@@ -178,12 +172,15 @@ def run_sweep(params: NetworkParams, policy: NumericPolicy,
     return records
 
 
+SWEEP_HEADER = ["value", "metric", "mode", "result", "stderr", "error"]
+
+
 def write_sweep_csv(fh, records: List[SweepRecord], cfg_lines: List[str]):
     fh.write("# rfhnet sweep\n")
     for line in cfg_lines:
         fh.write(f"# cfg {line}\n")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["value", "metric", "mode", "result", "stderr", "error"])
+    writer.writerow(SWEEP_HEADER)
     for r in records:
         writer.writerow([_fmt(r.value), r.metric, r.mode, _fmt(r.result),
                          _fmt(r.stderr), r.error])
@@ -211,8 +208,7 @@ def read_sweep_csv(path: str):
                 body.append(line)
     records: List[SweepRecord] = []
     rows = list(csv.reader(body))
-    if not rows or rows[0] != ["value", "metric", "mode", "result", "stderr",
-                               "error"]:
+    if not rows or rows[0] != SWEEP_HEADER:
         raise ValueError(f"{path}: not a sweep CSV (bad header)")
     for i, row in enumerate(rows[1:]):
         value, metric, mode, result, stderr, error = row
@@ -225,13 +221,9 @@ def read_sweep_csv(path: str):
 
 
 def _overrides_from(args) -> Dict[str, str]:
-    out = {}
-    if args.lambda_b is not None:
-        out["network.lambda_b_per_km2"] = repr(args.lambda_b)
-    if args.lambda_u is not None:
-        out["network.lambda_u_per_km2"] = repr(args.lambda_u)
-    if args.e_th is not None:
-        out["network.e_th"] = repr(args.e_th)
+    out = {f"network.{PER_KM2_KEYS.get(name, name)}":
+           repr(getattr(args, name))
+           for name in SWEEPABLE if getattr(args, name) is not None}
     if getattr(args, "seed", None) is not None:
         out["sim.seed"] = str(args.seed)
     return out
@@ -241,11 +233,15 @@ def cmd_analytic(args) -> int:
     params, policy, _, _ = load_config(args.config, _overrides_from(args))
     metrics = tuple(args.metrics.split(",")) if args.metrics \
         else _DEFAULT_POINT_METRICS
-    vals = _analytic_metrics(params, policy, metrics)
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        print(f"error: unknown metric {unknown[0]!r}", file=sys.stderr)
+        return 2
+    vals: Dict[str, float] = {}
+    for stage_metrics, stage in _ANALYTIC_STAGES:
+        if set(stage_metrics) & set(metrics):
+            vals.update(stage(params, policy))
     for m in metrics:
-        if m not in vals:
-            print(f"error: unknown metric {m!r}", file=sys.stderr)
-            return 2
         print(f"{m}={vals[m]:.17e}")
     return 0
 
@@ -253,14 +249,9 @@ def cmd_analytic(args) -> int:
 def cmd_simulate(args) -> int:
     params, _, sim_cfg, _ = load_config(args.config, _overrides_from(args))
     outcome = estimate(params, sim_cfg)
-    print(f"p_tr={outcome.p_tr_hat:.17e}")
-    print(f"p_tr_stderr={outcome.p_tr_stderr:.17e}")
-    print(f"t_avg={outcome.t_avg_hat:.17e}")
-    print(f"t_avg_stderr={outcome.t_avg_stderr:.17e}")
-    print(f"t_total={outcome.t_total_hat:.17e}")
-    print(f"t_total_stderr={outcome.t_total_stderr:.17e}")
-    print(f"mean_users={outcome.mean_users_per_nonempty_cell:.17e}")
-    print(f"mean_users_stderr={outcome.mean_users_stderr:.17e}")
+    for m, (mean, err) in _SIM_ATTRS.items():
+        print(f"{m}={getattr(outcome, mean):.17e}")
+        print(f"{m}_stderr={getattr(outcome, err):.17e}")
     print(f"n_events={outcome.n_events}")
     print(f"n_replications={outcome.n_replications}")
     return 0

@@ -9,18 +9,24 @@ section prefix:
     sim.*       slot-level simulator knobs
     sweep.*     optional parameter sweep (absent -> single-point runs)
 
-Unknown keys, duplicate keys, and malformed values are rejected with the
-offending line number.  When `sweep.parameter` names a network field, that
+The keys of a section are the fields of its dataclass (NetworkParams,
+NumericPolicy, SimConfig, SweepSpec), parsed by their annotated types; the
+densities lambda_b/lambda_u appear as lambda_b_per_km2/lambda_u_per_km2.
+A field without a default is a required key.  Unknown keys, duplicate keys,
+and malformed values are rejected with the offending line number.  When `sweep.parameter` names a network field, that
 field must NOT also appear in the network section; the template is filled
 per sweep value.
 """
 from __future__ import annotations
 
+import dataclasses
+import enum
+import typing
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .core import (ErlangIndexMode, NetworkParams, NumericPolicy,
-                   per_km2_to_per_m2, per_m2_to_per_km2, validate)
+from .core import (NetworkParams, NumericPolicy, per_km2_to_per_m2,
+                   per_m2_to_per_km2, validate)
 from .mcsim import SimConfig
 
 SWEEPABLE = ("lambda_b", "lambda_u", "e_th")
@@ -77,48 +83,45 @@ class SweepSpec:
 
 _BOOL = {"true": True, "false": False}
 
-# key -> (parser, required) per section; parsers raise ValueError
-_NETWORK_KEYS = {
-    "lambda_b_per_km2": float,
-    "lambda_u_per_km2": float,
-    "p_s": float,
-    "alpha": float,
-    "a_eff": float,
-    "e_th": float,
-    "sigma2": float,
-    "slot_seconds": float,
-}
-_POLICY_KEYS = {
-    "quad_rel_tol": float,
-    "series_tail_eps": float,
-    "n_max_cap": int,
-    "k_max_cap": int,
-    "erlang_index_mode": str,
-    "eps_sat": float,
-    "plateau_multiple": float,
-}
-_SIM_KEYS = {
-    "region_side": float,
-    "n_slots": int,
-    "n_replications": int,
-    "seed": int,
-    "edge_mode": str,
-    "guard_width": float,
-    "measure_ring": float,
-    "force_all_bs_transmit": bool,
-    "warmup_rounds": int,
-}
-_SWEEP_KEYS = {
-    "parameter": str,
-    "values": tuple,
-    "metrics": tuple,
-    "mode": str,
-}
-_SECTIONS = {"network": _NETWORK_KEYS, "policy": _POLICY_KEYS,
-             "sim": _SIM_KEYS, "sweep": _SWEEP_KEYS}
+# NetworkParams densities are per m2; config files give them per km2 under
+# these keys
+PER_KM2_KEYS = {"lambda_b": "lambda_b_per_km2", "lambda_u": "lambda_u_per_km2"}
+
+
+def to_field(name: str, value):
+    """A config-unit value of field `name` in the units its dataclass holds."""
+    return per_km2_to_per_m2(value) if name in PER_KM2_KEYS else value
+
+
+# section -> the dataclass whose fields are its keys
+_SECTION_TYPES = {"network": NetworkParams, "policy": NumericPolicy,
+                  "sim": SimConfig, "sweep": SweepSpec}
+
+
+def _schema(cls) -> Dict[str, Tuple[dataclasses.Field, object]]:
+    """{config key: (field, type)} for every field of a section dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {PER_KM2_KEYS.get(f.name, f.name): (f, hints[f.name])
+            for f in dataclasses.fields(cls)}
+
+
+_SECTIONS = {name: _schema(cls) for name, cls in _SECTION_TYPES.items()}
 
 
 def _parse_value(kind, raw: str, key: str):
+    if typing.get_origin(kind) is tuple:   # comma-separated list
+        items = [s.strip() for s in raw.split(",") if s.strip()]
+        if not items:
+            raise ValueError(f"{key}: empty list")
+        return tuple(_parse_value(typing.get_args(kind)[0], s, key)
+                     for s in items)
+    if issubclass(kind, enum.Enum):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(
+                f"{key}: expected one of {[m.value for m in kind]}, got "
+                f"{raw!r}") from None
     if kind is bool:
         if raw.lower() not in _BOOL:
             raise ValueError(f"{key}: expected true/false, got {raw!r}")
@@ -133,12 +136,21 @@ def _parse_value(kind, raw: str, key: str):
             return float(raw)
         except ValueError:
             raise ValueError(f"{key}: expected number, got {raw!r}") from None
-    if kind is tuple:   # comma-separated list
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if not items:
-            raise ValueError(f"{key}: empty list")
-        return tuple(items)
     return raw
+
+
+def _format_value(kind, value) -> str:
+    """Inverse of _parse_value: the config text of a field value."""
+    if typing.get_origin(kind) is tuple:
+        return ",".join(_format_value(typing.get_args(kind)[0], v)
+                        for v in value)
+    if issubclass(kind, enum.Enum):
+        return value.value
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        return repr(value)
+    return str(value)
 
 
 def parse_text(text: str, path: str = "?") -> Dict[str, Dict[str, object]]:
@@ -164,28 +176,24 @@ def parse_text(text: str, path: str = "?") -> Dict[str, Dict[str, object]]:
         if key in out[section]:
             raise ConfigError(f"duplicate key {dotted!r}", path, lineno)
         try:
-            out[section][key] = _parse_value(_SECTIONS[section][key], raw,
-                                             dotted)
+            out[section][key] = _parse_value(_SECTIONS[section][key][1],
+                                             raw, dotted)
         except ValueError as exc:
             raise ConfigError(str(exc), path, lineno) from None
     return out
 
 
-def _build_sweep(sweep_raw: Dict[str, object], path: str) -> Optional[SweepSpec]:
-    if not sweep_raw:
-        return None
-    missing = [k for k in ("parameter", "values", "metrics") if k not in sweep_raw]
-    if missing:
-        raise ConfigError(f"sweep section missing {missing}", path)
+def _build(section: str, values: Dict[str, object], path: str):
+    """The section's dataclass from parsed config values; a field without
+    a default is a required key."""
+    kwargs = {}
+    for key, (field, _) in _SECTIONS[section].items():
+        if key in values:
+            kwargs[field.name] = to_field(field.name, values[key])
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {section}.{key}", path)
     try:
-        values = tuple(float(v) for v in sweep_raw["values"])
-    except ValueError:
-        raise ConfigError("sweep.values must be numbers", path) from None
-    try:
-        return SweepSpec(parameter=str(sweep_raw["parameter"]),
-                         values=values,
-                         metrics=tuple(sweep_raw["metrics"]),
-                         mode=str(sweep_raw.get("mode", "both")))
+        return _SECTION_TYPES[section](**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc), path) from None
 
@@ -211,89 +219,43 @@ def load_config(path: str, overrides: Optional[Dict[str, str]] = None):
         if section not in _SECTIONS or key not in _SECTIONS[section]:
             raise ConfigError(f"unknown override {dotted!r}", path)
         try:
-            raw[section][key] = _parse_value(_SECTIONS[section][key],
+            raw[section][key] = _parse_value(_SECTIONS[section][key][1],
                                              str(value), dotted)
         except ValueError as exc:
             raise ConfigError(f"override {exc}", path) from None
 
-    sweep = _build_sweep(raw["sweep"], path)
+    sweep = _build("sweep", raw["sweep"], path) if raw["sweep"] else None
 
     net = dict(raw["network"])
     if sweep is not None:
-        swept_key = ("lambda_b_per_km2" if sweep.parameter == "lambda_b"
-                     else "lambda_u_per_km2" if sweep.parameter == "lambda_u"
-                     else "e_th")
+        swept_key = PER_KM2_KEYS.get(sweep.parameter, sweep.parameter)
         if swept_key in net:
             raise ConfigError(
                 f"network.{swept_key} conflicts with sweep.parameter = "
                 f"{sweep.parameter}; leave it out of the network section",
                 path)
         net[swept_key] = sweep.values[0]
-    for req in ("lambda_b_per_km2", "lambda_u_per_km2", "p_s", "alpha",
-                "a_eff", "e_th"):
-        if req not in net:
-            raise ConfigError(f"missing required key network.{req}", path)
-
-    params = NetworkParams(
-        lambda_b=per_km2_to_per_m2(net["lambda_b_per_km2"]),
-        lambda_u=per_km2_to_per_m2(net["lambda_u_per_km2"]),
-        p_s=net["p_s"], alpha=net["alpha"], a_eff=net["a_eff"],
-        e_th=net["e_th"], sigma2=net.get("sigma2", 0.0),
-        slot_seconds=net.get("slot_seconds", 1.0))
+    params = _build("network", net, path)
     try:
         validate(params)
     except ValueError as exc:
         raise ConfigError(str(exc), path) from None
-
-    pol = dict(raw["policy"])
-    if "erlang_index_mode" in pol:
-        try:
-            pol["erlang_index_mode"] = ErlangIndexMode(pol["erlang_index_mode"])
-        except ValueError:
-            raise ConfigError(
-                f"policy.erlang_index_mode must be one of "
-                f"{[m.value for m in ErlangIndexMode]}", path) from None
-    try:
-        policy = NumericPolicy(**pol)
-        sim = SimConfig(**raw["sim"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), path) from None
-    return params, policy, sim, sweep
+    return (params, _build("policy", raw["policy"], path),
+            _build("sim", raw["sim"], path), sweep)
 
 
 def resolved_lines(params: NetworkParams, policy: NumericPolicy,
                    sim: SimConfig, sweep: Optional[SweepSpec]) -> list:
     """Flat `section.key=value` lines capturing the full effective config,
     suitable for a reproducibility preamble.  Densities in per-km2."""
-    entries = {
-        "network.lambda_b_per_km2": repr(per_m2_to_per_km2(params.lambda_b)),
-        "network.lambda_u_per_km2": repr(per_m2_to_per_km2(params.lambda_u)),
-        "network.p_s": repr(params.p_s),
-        "network.alpha": repr(params.alpha),
-        "network.a_eff": repr(params.a_eff),
-        "network.e_th": repr(params.e_th),
-        "network.sigma2": repr(params.sigma2),
-        "network.slot_seconds": repr(params.slot_seconds),
-        "policy.quad_rel_tol": repr(policy.quad_rel_tol),
-        "policy.series_tail_eps": repr(policy.series_tail_eps),
-        "policy.n_max_cap": str(policy.n_max_cap),
-        "policy.k_max_cap": str(policy.k_max_cap),
-        "policy.erlang_index_mode": policy.erlang_index_mode.value,
-        "policy.eps_sat": repr(policy.eps_sat),
-        "policy.plateau_multiple": repr(policy.plateau_multiple),
-        "sim.region_side": repr(sim.region_side),
-        "sim.n_slots": str(sim.n_slots),
-        "sim.n_replications": str(sim.n_replications),
-        "sim.seed": str(sim.seed),
-        "sim.edge_mode": sim.edge_mode,
-        "sim.guard_width": repr(sim.guard_width),
-        "sim.measure_ring": repr(sim.measure_ring),
-        "sim.force_all_bs_transmit": str(sim.force_all_bs_transmit).lower(),
-        "sim.warmup_rounds": str(sim.warmup_rounds),
-    }
-    if sweep is not None:
-        entries["sweep.parameter"] = sweep.parameter
-        entries["sweep.values"] = ",".join(repr(v) for v in sweep.values)
-        entries["sweep.metrics"] = ",".join(sweep.metrics)
-        entries["sweep.mode"] = sweep.mode
-    return [f"{k}={entries[k]}" for k in sorted(entries)]
+    lines = []
+    for section, obj in (("network", params), ("policy", policy),
+                         ("sim", sim), ("sweep", sweep)):
+        if obj is None:
+            continue
+        for key, (field, kind) in _SECTIONS[section].items():
+            value = getattr(obj, field.name)
+            if field.name in PER_KM2_KEYS:
+                value = per_m2_to_per_km2(value)
+            lines.append(f"{section}.{key}={_format_value(kind, value)}")
+    return sorted(lines)

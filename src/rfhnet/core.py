@@ -127,5 +127,6 @@ class NumericPolicy:
             raise ValueError("erlang_index_mode must be an ErlangIndexMode")
         if not (0 < self.eps_sat < 1):
             raise ValueError("eps_sat must lie in (0, 1)")
-        if self.plateau_multiple <= 0:
-            raise ValueError("plateau_multiple must be positive")
+        if not (self.plateau_multiple > 0
+                and math.isfinite(self.plateau_multiple)):
+            raise ValueError("plateau_multiple must be positive and finite")

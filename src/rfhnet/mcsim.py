@@ -37,7 +37,8 @@ class SimConfig:
     region_side      deployment square side [m]
     n_slots          scheduled slots per replication
     n_replications   independent field draws
-    seed             master seed; replication streams are spawned from it
+    seed             non-negative master seed; replication streams are
+                     spawned from it
     edge_mode        "torus" wraps distances; "guard" pads the sampling
                      window by guard_width on each side and restricts
                      statistics to a centered sub-square
@@ -68,6 +69,8 @@ class SimConfig:
             raise ValueError("n_slots must be at least 1")
         if self.n_replications < 1:
             raise ValueError("n_replications must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.edge_mode not in (EDGE_TORUS, EDGE_GUARD):
             raise ValueError("edge_mode must be 'torus' or 'guard'")
         if not (0 <= self.guard_width < self.region_side / 2):

@@ -1,5 +1,8 @@
+import dataclasses
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from rfhnet import analytic, cli
 from rfhnet.config import (ConfigError, SweepSpec, load_config, parse_text,
                            resolved_lines)
 from rfhnet.core import NumericPolicy, per_km2_to_per_m2
+from rfhnet.mcsim import SimConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASE_NETWORK = """\
 network.lambda_b_per_km2 = 100
@@ -52,6 +58,8 @@ def test_parse_text_happy_path():
     ("network.sigma2 = tall", "expected number"),
     ("policy.n_max_cap = 1.5", "expected integer"),
     ("sim.force_all_bs_transmit = yes", "expected true/false"),
+    ("policy.erlang_index_mode = rounds", "expected one of"),
+    ("sweep.values = 100, many", "expected number"),
 ])
 def test_parse_text_errors_carry_line_numbers(line, fragment):
     text = BASE_NETWORK + line + "\n"
@@ -171,6 +179,76 @@ def test_resolved_lines_round_trip(tmp_path):
     assert as_dict["sim.force_all_bs_transmit"] == "true"
 
 
+def test_resolved_lines_round_trip_every_key(tmp_path):
+    """A config setting every key away from its default (slot_seconds has
+    one valid value) survives resolved_lines and loads back equal."""
+    text = ("network.lambda_u_per_km2 = 300\n"
+            "network.p_s = 2.5\n"
+            "network.alpha = 3.5\n"
+            "network.a_eff = 0.75\n"
+            "network.e_th = 3e-5\n"
+            "network.sigma2 = 1e-12\n"
+            "network.slot_seconds = 1\n"
+            "policy.quad_rel_tol = 1e-6\n"
+            "policy.series_tail_eps = 1e-7\n"
+            "policy.n_max_cap = 900\n"
+            "policy.k_max_cap = 800\n"
+            "policy.erlang_index_mode = round_count\n"
+            "policy.eps_sat = 0.05\n"
+            "policy.plateau_multiple = 40\n"
+            "sim.region_side = 800\n"
+            "sim.n_slots = 50\n"
+            "sim.n_replications = 3\n"
+            "sim.seed = 11\n"
+            "sim.edge_mode = guard\n"
+            "sim.guard_width = 100\n"
+            "sim.measure_ring = 0.5\n"
+            "sim.force_all_bs_transmit = false\n"
+            "sim.warmup_rounds = 2\n"
+            "sweep.parameter = lambda_b\n"
+            "sweep.values = 150, 700\n"
+            "sweep.metrics = p_tr,t_avg\n"
+            "sweep.mode = simulate\n")
+    loaded = load_config(write_cfg(tmp_path, text))
+    params, policy, sim, sweep = loaded
+    for obj, default in ((policy, NumericPolicy()), (sim, SimConfig())):
+        for f in dataclasses.fields(obj):
+            assert getattr(obj, f.name) != getattr(default, f.name), f.name
+    assert sweep.mode != "both"
+
+    lines = resolved_lines(*loaded)
+    assert {line.split("=", 1)[0] for line in lines} == {
+        line.split("=", 1)[0].strip() for line in text.splitlines()} | {
+        "network.lambda_b_per_km2"}
+    # the preamble records the template's first swept value, which a
+    # config may not set next to sweep.parameter
+    back = [line for line in lines
+            if not line.startswith("network.lambda_b_per_km2=")]
+    path = write_cfg(tmp_path, "\n".join(back) + "\n", name="back.cfg")
+    assert load_config(path) == loaded
+
+
+def test_shipped_preamble_matches_committed_results():
+    cfg = load_config(str(REPO / "configs" / "delivery_vs_bs_density.cfg"))
+    committed = [line[len("# cfg "):].rstrip("\n") for line in open(
+        REPO / "results" / "delivery_vs_bs_density.csv", encoding="utf-8")
+        if line.startswith("# cfg ")]
+    assert len(committed) == 28
+    assert resolved_lines(*cfg) == committed
+
+
+def test_readme_config_table_lists_every_key():
+    cfg = load_config(str(REPO / "configs" / "delivery_vs_bs_density.cfg"))
+    keys = {line.split("=", 1)[0] for line in resolved_lines(*cfg)}
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for section, cell in re.findall(r"^\| `(\w+)` +\| (.*) \|$", readme,
+                                    flags=re.M):
+        names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell))
+        table.update({f"{section}.{name}": None for name in names})
+    assert set(table) == keys
+
+
 # ---------------------------------------------------------------------------
 # sweep execution
 # ---------------------------------------------------------------------------
@@ -236,6 +314,33 @@ def test_run_sweep_isolates_point_failures(tmp_path, monkeypatch, capsys):
     assert len(bad) == 2 and all(r.value == 200.0 for r in bad)
     assert all(r.result is None for r in bad)
     assert len(good) == 2 and all(r.result is not None for r in good)
+
+
+def test_run_sweep_evaluates_each_stage_once(tmp_path, monkeypatch):
+    """p_tr and mean_users come from one delivery_prob call per value, and
+    a failing throughput stage marks only its own rows."""
+    calls = []
+    real = analytic.delivery_prob
+
+    def counted(params, policy):
+        calls.append(params.lambda_b)
+        return real(params, policy)
+
+    def broken(params, policy):
+        raise RuntimeError("synthetic throughput failure")
+
+    monkeypatch.setattr(analytic, "delivery_prob", counted)
+    monkeypatch.setattr(analytic, "total_throughput", broken)
+    params, policy, sim, sweep = load_config(
+        write_cfg(tmp_path, SWEEP_ANALYTIC),
+        {"sweep.metrics": "p_tr,mean_users,t_total"})
+    records = cli.run_sweep(params, policy, sim, sweep)
+    assert calls == [per_km2_to_per_m2(v) for v in sweep.values]
+    for r in records:
+        failed = r.metric == "t_total"
+        assert bool(r.error) == failed
+        assert (r.result is None) == failed
+    assert len(records) == 3 * len(sweep.values)
 
 
 def test_sweep_csv_round_trip(tmp_path):
@@ -347,6 +452,12 @@ def test_analytic_command_unknown_metric(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE_NETWORK)
     assert cli.main(["analytic", "--config", cfg_path,
                      "--metrics", "latency"]) == 2
+    # a known metric in the list is not computed or printed either
+    assert cli.main(["analytic", "--config", cfg_path,
+                     "--metrics", "p_tr,latency"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "latency" in captured.err
 
 
 def test_simulate_command_reports_all_fields(tmp_path, capsys):
@@ -371,6 +482,10 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     no_sweep = write_cfg(tmp_path, BASE_NETWORK, name="nosweep.cfg")
     assert cli.main(["sweep", "--config", no_sweep,
                      "--output", str(tmp_path / "x.csv")]) == 2
+    for bad_value in ("policy.plateau_multiple = inf\n", "sim.seed = -1\n"):
+        cfg_path = write_cfg(tmp_path, BASE_NETWORK + bad_value,
+                             name="value.cfg")
+        assert cli.main(["analytic", "--config", cfg_path]) == 2
     capsys.readouterr()
 
 

@@ -72,6 +72,8 @@ def test_policy_defaults():
     {"eps_sat": 0.0},
     {"eps_sat": 1.0},
     {"plateau_multiple": 0.0},
+    {"plateau_multiple": math.inf},
+    {"plateau_multiple": math.nan},
 ])
 def test_policy_rejects(kwargs):
     with pytest.raises(ValueError):

@@ -222,6 +222,7 @@ def test_measure_masks_and_area():
     {"region_side": 0.0},
     {"n_slots": 0},
     {"n_replications": 0},
+    {"seed": -1},
     {"edge_mode": "mirror"},
     {"guard_width": -1.0},
     {"guard_width": 600.0},
