@@ -22,11 +22,10 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .core import ErlangIndexMode, NetworkParams, NumericPolicy, validate
-from .numerics import (FitResult, integrate_semi_infinite, log_gamma,
-                       minimize_least_squares, poisson_cdf_upper)
+from .numerics import FitResult, integrate_semi_infinite, poisson_cdf_upper
 
 # Size-biased normalized Voronoi cell area: Gamma(shape 4.5, rate 3.5).
 # The same 3.5 constant parameterizes the active-station thinning below.
@@ -66,7 +65,7 @@ def cell_area_pdf(x):
     (size-biased), Gamma(4.5, rate 3.5)."""
     xs = np.asarray(x, dtype=float)
     norm = math.exp(CELL_AREA_SHAPE * math.log(CELL_AREA_RATE)
-                    - log_gamma(CELL_AREA_SHAPE))
+                    - math.lgamma(CELL_AREA_SHAPE))
     out = np.where(xs > 0,
                    norm * np.power(np.maximum(xs, 1e-300), CELL_AREA_SHAPE - 1.0)
                    * np.exp(-CELL_AREA_RATE * np.maximum(xs, 0.0)),
@@ -130,6 +129,25 @@ def _area_mixture(s: float, coeffs: tuple):
     wt = base * np.exp(logw - peak)
     wt /= wt.sum()
     return xi, wt
+
+
+def _unit_distance_pdf(s):
+    """Serving-distance density at unit station density."""
+    return 2.0 * math.pi * s * np.exp(-math.pi * s * s)
+
+
+@lru_cache(maxsize=8)
+def _mean_cell_area(rel_tol: float) -> float:
+    """Mean normalized area of the typical user's cell, the area mixture's
+    mean averaged over the serving distance s = r1*sqrt(lambda_b).  It
+    depends on no density, so a cell holds lambda_u/lambda_b times this
+    many other users on average."""
+    def mean_area(s):
+        xi, wt = _area_mixture(s, UNIT_CELL_COEFFS)
+        return float(np.dot(wt, xi)) * _unit_distance_pdf(s)
+
+    return integrate_semi_infinite(
+        mean_area, NumericPolicy(quad_rel_tol=rel_tol), scale=0.5).value
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +309,30 @@ def users_pmf_given_r1(n: int, r1: float, params: NetworkParams,
 
 
 @lru_cache(maxsize=100_000)
-def _per_distance(r1: float, params: NetworkParams, policy: NumericPolicy):
-    """(delivery probability, expected other-user count) at distance r1.
+def _per_distance(r1: float, params: NetworkParams,
+                  policy: NumericPolicy) -> float:
+    """Delivery probability at distance r1.
 
     Any cell population n large enough that the mean far field covers the
     demand within one round delivers immediately; only the finitely many
     smaller n need the rounds series, so the user-count mixture is never
     truncated, merely split at that threshold.
     """
-    s = r1 * math.sqrt(params.lambda_b)
-    xi, wt = _area_mixture(s, UNIT_CELL_COEFFS)
-    mean_users = (params.lambda_u / params.lambda_b) * float(np.dot(wt, xi))
-
     demand, per_slot = _link_budget(r1, params)
     n_ready = min(math.ceil(demand / per_slot), policy.n_max_cap)
 
     if n_ready == 0:
-        return 1.0, mean_users
+        return 1.0
     if params.lambda_u == 0:
-        p_tr = delivery_prob_given_n_r1(0, r1, params, policy)
-        return p_tr, mean_users
+        return delivery_prob_given_n_r1(0, r1, params, policy)
 
+    xi, wt = _area_mixture(r1 * math.sqrt(params.lambda_b), UNIT_CELL_COEFFS)
     ns = np.arange(n_ready)
     p_small = _users_pmf(ns, xi, wt, params)
     t_small = _mean_inverse_rounds(ns, r1, params, policy)
     covered = float(p_small.sum())
     p_tr = float(np.dot(p_small, t_small)) + max(0.0, 1.0 - covered)
-    return min(max(p_tr, 0.0), 1.0), mean_users
+    return min(max(p_tr, 0.0), 1.0)
 
 
 def delivery_prob_given_r1(r1: float, params: NetworkParams,
@@ -326,7 +341,7 @@ def delivery_prob_given_r1(r1: float, params: NetworkParams,
     population."""
     if not r1 > 0:
         raise ValueError("r1 must be positive")
-    return _per_distance(float(r1), params, policy)[0]
+    return _per_distance(float(r1), params, policy)
 
 
 @dataclass(frozen=True)
@@ -343,16 +358,12 @@ def delivery_prob(params: NetworkParams,
     the conditional probability against the serving-distance density; also
     reports the expected number of other users in the typical user's cell."""
     validate(params)
-    scale = 0.5 / math.sqrt(params.lambda_b)
-
     p_tr = integrate_semi_infinite(
-        lambda r: _per_distance(r, params, policy)[0]
+        lambda r: _per_distance(r, params, policy)
         * nearest_distance_pdf(r, params),
-        policy, scale=scale).value
-    users = integrate_semi_infinite(
-        lambda r: _per_distance(r, params, policy)[1]
-        * nearest_distance_pdf(r, params),
-        policy, scale=scale).value
+        policy, scale=0.5 / math.sqrt(params.lambda_b)).value
+    users = (params.lambda_u / params.lambda_b) \
+        * _mean_cell_area(policy.quad_rel_tol)
 
     return DeliveryBreakdown(
         p_tr=min(max(p_tr, 0.0), 1.0),
@@ -454,7 +465,7 @@ def avg_cell_throughput(params: NetworkParams, policy: NumericPolicy) -> float:
     scale = 0.5 / math.sqrt(params.lambda_b)
     res = integrate_semi_infinite(
         lambda r: expected_capacity_given_r1(r, params, policy)
-        * _per_distance(r, params, policy)[0]
+        * _per_distance(r, params, policy)
         * nearest_distance_pdf(r, params),
         policy, scale=scale)
     return res.value
@@ -551,54 +562,40 @@ _FIT_XI_NODES = 160
 _FIT_XI_HI = 14.0
 
 
-def _unit_distance_pdf(s):
-    """Serving-distance density at unit station density."""
-    return 2.0 * math.pi * s * np.exp(-math.pi * s * s)
-
-
-def _forward_distance_profile(r, coeffs, xi, wq):
-    """Reconstruct the serving-distance density from a unit-cell profile by
-    scaling it to each cell area and mixing over the area distribution."""
-    c1, c2, c3, c4 = coeffs
-    root = np.sqrt(xi)
-    u = r[:, None] / root[None, :]
-    g = c1 * np.power(u, c2) * np.exp(-c3 * np.power(u, c4))
-    return (g / root[None, :] * cell_area_pdf(xi)[None, :]) @ wq
-
-
 def reconstructed_distance_pdf(r_norm, coefficients):
     """Serving-distance density (unit station density) implied by a
-    unit-cell profile: the forward area-mixture at the given coefficients,
-    evaluated on normalized distances r_norm."""
+    unit-cell profile, evaluated on normalized distances r_norm: the
+    profile at the given coefficients, scaled to each cell area and mixed
+    over the area distribution."""
     x, w = _gauss_legendre(_FIT_XI_NODES)
     xi = 0.5 * (x + 1.0) * _FIT_XI_HI
-    wq = 0.5 * _FIT_XI_HI * w
-    return _forward_distance_profile(np.asarray(r_norm, dtype=float),
-                                     _as_coeffs(coefficients), xi, wq)
+    root = np.sqrt(xi)
+    g = conditional_distance_pdf(np.asarray(r_norm, dtype=float)[:, None]
+                                 / root, coefficients)
+    return (g / root * cell_area_pdf(xi)) @ (0.5 * _FIT_XI_HI * w)
 
 
 def fit_conditional_distance_pdf(policy: NumericPolicy) -> FitResult:
-    """Recover the unit-cell distance profile coefficients by least squares.
+    """Recover the unit-cell distance profile coefficients by bounded least
+    squares.
 
     Fits (c1, c3, c4) with c2 pinned at 1 so that the area-mixture of the
     profile reproduces the exact serving-distance density on a normalized
-    grid (unit station density).  A post-hoc check rejects a fit whose
-    profile is badly non-normalized.
+    grid (unit station density).  The residual is the sum of squares and
+    the iteration count the number of residual evaluations, not counting
+    those of the finite-difference Jacobian.  A post-hoc check rejects a
+    fit whose profile is badly non-normalized.
     """
-    x, w = _gauss_legendre(_FIT_XI_NODES)
-    xi = 0.5 * (x + 1.0) * _FIT_XI_HI
-    wq = 0.5 * _FIT_XI_HI * w
-    r = _FIT_R_GRID
-    target = _unit_distance_pdf(r)
+    target = _unit_distance_pdf(_FIT_R_GRID)
 
     def residual(v):
         c1, c3, c4 = v
-        return _forward_distance_profile(r, (c1, 1.0, c3, c4), xi, wq) - target
+        return reconstructed_distance_pdf(_FIT_R_GRID,
+                                          (c1, 1.0, c3, c4)) - target
 
-    fit3 = minimize_least_squares(residual, initial=(4.0, 3.0, 2.0),
-                                  bounds=((0.5, 30.0), (0.5, 30.0),
-                                          (1.2, 6.0)))
-    c1, c3, c4 = fit3.coefficients
+    fit = optimize.least_squares(residual, x0=(4.0, 3.0, 2.0),
+                                 bounds=((0.5, 0.5, 1.2), (30.0, 30.0, 6.0)))
+    c1, c3, c4 = (float(v) for v in fit.x)
     coeffs = (c1, 1.0, c3, c4)
 
     norm = integrate_semi_infinite(
@@ -606,5 +603,5 @@ def fit_conditional_distance_pdf(policy: NumericPolicy) -> FitResult:
     if abs(norm.value - 1.0) > 0.05:
         raise RuntimeError(
             f"fitted profile integrates to {norm.value:.4f}, expected ~1")
-    return FitResult(coefficients=coeffs, residual=fit3.residual,
-                     iterations=fit3.iterations)
+    return FitResult(coefficients=coeffs, residual=2.0 * float(fit.cost),
+                     iterations=int(fit.nfev))

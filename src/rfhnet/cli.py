@@ -30,7 +30,6 @@ from .core import NetworkParams, NumericPolicy
 from .mcsim import SimConfig, estimate
 
 _DEFAULT_POINT_METRICS = ("p_tr", "t_avg", "t_total", "mean_users")
-_REFERENCE_COEFFS = analytic.UNIT_CELL_COEFFS
 
 
 @dataclass
@@ -292,9 +291,9 @@ def cmd_fit(args) -> int:
         fh.write("# rfhnet fit\n")
         fh.write(f"# coeff c1={c1:.17e} c2={c2:.17e} c3={c3:.17e} "
                  f"c4={c4:.17e}\n")
-        fh.write(f"# reference c1={_REFERENCE_COEFFS[0]!r} "
-                 f"c2={_REFERENCE_COEFFS[1]!r} c3={_REFERENCE_COEFFS[2]!r} "
-                 f"c4={_REFERENCE_COEFFS[3]!r}\n")
+        fh.write("# reference " + " ".join(
+            f"c{i}={c!r}" for i, c in enumerate(analytic.UNIT_CELL_COEFFS, 1))
+            + "\n")
         fh.write(f"# residual {fit.residual:.17e}\n")
         fh.write(f"# max_gap {gap:.17e} peak {peak:.17e}\n")
         writer = csv.writer(fh, lineterminator="\n")

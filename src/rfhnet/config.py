@@ -153,6 +153,17 @@ def _format_value(kind, value) -> str:
     return str(value)
 
 
+def _km2_text(density: float) -> str:
+    """The shortest per-km2 config text of a per-m2 density that loads back
+    to exactly that density."""
+    km2 = per_m2_to_per_km2(density)
+    for digits in range(1, 18):
+        candidate = float(f"{km2:.{digits}g}")
+        if per_km2_to_per_m2(candidate) == density:
+            return repr(candidate)
+    return repr(km2)
+
+
 def parse_text(text: str, path: str = "?") -> Dict[str, Dict[str, object]]:
     """Parse config text into {section: {key: value}} with strict checks."""
     out: Dict[str, Dict[str, object]] = {s: {} for s in _SECTIONS}
@@ -255,7 +266,7 @@ def resolved_lines(params: NetworkParams, policy: NumericPolicy,
             continue
         for key, (field, kind) in _SECTIONS[section].items():
             value = getattr(obj, field.name)
-            if field.name in PER_KM2_KEYS:
-                value = per_m2_to_per_km2(value)
-            lines.append(f"{section}.{key}={_format_value(kind, value)}")
+            text = (_km2_text(value) if field.name in PER_KM2_KEYS
+                    else _format_value(kind, value))
+            lines.append(f"{section}.{key}={text}")
     return sorted(lines)

@@ -105,6 +105,17 @@ class SimOutcome:
     n_replications: int
 
 
+@dataclass(frozen=True)
+class ReplicationOutcome:
+    """Estimates from one sampled field; estimate() averages them into a
+    SimOutcome."""
+    p_tr_hat: float
+    t_avg_hat: float
+    t_total_hat: float
+    mean_users_per_nonempty_cell: float
+    n_events: int
+
+
 def _pair_distances(user_xy: np.ndarray, bs_xy: np.ndarray,
                     config: SimConfig) -> np.ndarray:
     """(U, B) distance matrix under the configured edge metric."""
@@ -173,7 +184,7 @@ def _measure_area(config: SimConfig) -> float:
 
 def run_replication(field: FieldRealization, params: NetworkParams,
                     config: SimConfig, rng: np.random.Generator,
-                    trace: Optional[dict] = None) -> SimOutcome:
+                    trace: Optional[dict] = None) -> ReplicationOutcome:
     """Play the schedule over one sampled field and return its estimates.
 
     A scheduled slot is counted once the cell has completed its warmup
@@ -196,10 +207,6 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     else:
         mean_users = 0.0
 
-    if n_users == 0 or nonempty.size == 0:
-        return SimOutcome(0.0, 0.0, 0.0, mean_users, 0.0, 0.0, 0.0, 0.0,
-                          0, 1)
-
     dist = _pair_distances(field.user_xy, field.bs_xy, config)
     if not np.all(dist > 0):
         raise RuntimeError("degenerate zero-length link in sampled field")
@@ -210,8 +217,9 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     else:
         active = (roster_len > 0).astype(float)
 
-    # flatten rosters so each slot's scheduled users come from one gather
-    flat = np.concatenate([field.rosters[b] for b in nonempty])
+    # flatten rosters so each slot's scheduled users come from one gather;
+    # with no users every slot schedules nobody and n_events stays 0
+    flat = np.concatenate(field.rosters)
     offsets = np.concatenate(([0], np.cumsum(roster_len[nonempty])))[:-1]
     lens = roster_len[nonempty]
     warmup_until = config.warmup_rounds * lens
@@ -263,8 +271,7 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     observed = sched_count > 0
     n_events = int(sched_count.sum())
     if n_events == 0:
-        return SimOutcome(0.0, 0.0, 0.0, mean_users, 0.0, 0.0, 0.0, 0.0,
-                          0, 1)
+        return ReplicationOutcome(0.0, 0.0, 0.0, mean_users, 0)
     # the typical user's chance of being served at its own scheduled slot:
     # per-user ready fractions averaged with equal weight per user
     p_tr = float(np.mean(ready_count[observed] / sched_count[observed]))
@@ -277,8 +284,7 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     cell_rate = cell_score[with_events] / cell_events[with_events]
     t_avg = float(np.mean(cell_rate))
     t_total = float(np.sum(cell_rate) / _measure_area(config))
-    return SimOutcome(p_tr, t_avg, t_total, mean_users,
-                      0.0, 0.0, 0.0, 0.0, n_events, 1)
+    return ReplicationOutcome(p_tr, t_avg, t_total, mean_users, n_events)
 
 
 def estimate(params: NetworkParams, config: SimConfig) -> SimOutcome:

@@ -1,24 +1,22 @@
-"""Numerical kernels: half-line quadrature, Poisson tail sums, log-gamma,
-and a derivative-free least-squares minimizer.
+"""Numerical kernels: half-line quadrature, Poisson tail sums, and the
+record a least-squares fit returns.
 
-These are deliberately thin wrappers over scipy/stdlib routines, pinned down
-by contracts the rest of the package relies on (see tests).  Nothing in here
+These are deliberately thin wrappers over scipy routines, pinned down by
+contracts the rest of the package relies on (see tests).  Nothing in here
 knows about the network model.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 # Absolute floor handed to the adaptive integrator so that integrals whose
 # true value is exactly zero can still converge.
 _QUAD_ABS_FLOOR = 1e-14
 _MAX_SUBDIVISIONS = 200
-_NM_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -93,65 +91,15 @@ def poisson_cdf_upper(m: int, theta: float) -> float:
     return float(special.gammaincc(m, theta))
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a least-squares minimization.
+    """Outcome of a least-squares fit.
 
     coefficients  the best point found (tuple, one entry per parameter)
     residual      sum of squared residuals at that point
-    iterations    total objective evaluations spent
+    iterations    objective evaluations spent
     """
 
     coefficients: tuple
     residual: float
     iterations: int
-
-
-def minimize_least_squares(residual: Callable[[np.ndarray], np.ndarray],
-                           initial: Sequence[float],
-                           bounds: Sequence[tuple]) -> FitResult:
-    """Minimize sum(residual(x)**2) inside a box, derivative-free.
-
-    Runs a Nelder-Mead simplex, restarted a few times from the incumbent
-    best point (each restart rebuilds the simplex, which lets the search
-    escape a collapsed one).  Probes outside the box are clipped, so the
-    returned point always respects the bounds, and the result is never
-    worse than the initial point.
-    """
-    x0 = np.asarray(initial, dtype=float)
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if x0.shape != lo.shape:
-        raise ValueError("initial point and bounds disagree in length")
-    x0 = np.clip(x0, lo, hi)
-    nfev = [0]
-
-    def objective(x):
-        nfev[0] += 1
-        r = np.asarray(residual(np.clip(x, lo, hi)), dtype=float)
-        s = float(np.dot(r.ravel(), r.ravel()))
-        return s if math.isfinite(s) else math.inf
-
-    best_x, best_f = x0, objective(x0)
-    if not math.isfinite(best_f):
-        raise ValueError("residual is not finite at the initial point")
-
-    box = optimize.Bounds(lo, hi)
-    for _ in range(_NM_RESTARTS):
-        res = optimize.minimize(objective, best_x, method="Nelder-Mead",
-                                bounds=box,
-                                options={"xatol": 1e-10, "fatol": 1e-14,
-                                         "maxfev": 4000})
-        if res.fun < best_f:
-            best_f = float(res.fun)
-            best_x = np.clip(np.asarray(res.x, dtype=float), lo, hi)
-    if not math.isfinite(best_f):
-        raise ValueError("objective was not finite at any probed point")
-    return FitResult(tuple(float(v) for v in best_x), best_f, nfev[0])

@@ -386,6 +386,25 @@ def test_delivery_breakdown_consistency(baseline_params, policy):
     assert br.expected_users_typical_cell == pytest.approx(biased, rel=0.02)
 
 
+@pytest.mark.parametrize("lambda_b_km2", [10.0, 100.0, 1000.0])
+def test_mean_users_matches_distance_integral(lambda_b_km2, policy):
+    """The typical cell's mean population, as the serving-distance integral
+    of lambda_u/lambda_b times the area mixture's mean."""
+    p = params_at(lambda_b_km2=lambda_b_km2)
+    ratio = p.lambda_u / p.lambda_b
+
+    def users_at(r):
+        xi, wt = analytic._area_mixture(r * math.sqrt(p.lambda_b),
+                                        analytic.UNIT_CELL_COEFFS)
+        return ratio * float(np.dot(wt, xi)) \
+            * analytic.nearest_distance_pdf(r, p)
+
+    exact = integrate_semi_infinite(users_at, policy,
+                                    scale=0.5 / math.sqrt(p.lambda_b)).value
+    got = analytic.delivery_prob(p, policy).expected_users_typical_cell
+    assert got == pytest.approx(exact, rel=1e-12)
+
+
 def test_delivery_prob_validates_params(policy):
     bad = NetworkParams(lambda_b=1e-4, lambda_u=1e-4, p_s=1.0, alpha=2.0,
                         a_eff=0.5, e_th=1e-5)
@@ -462,6 +481,12 @@ def test_fit_recovers_reference_profile(policy):
     assert abs(c3 - ref[2]) / ref[2] <= 0.10
     assert abs(c4 - ref[3]) / ref[3] <= 0.10
     assert fit.residual < 0.05
+    # the least-squares minimum itself
+    assert fit.coefficients == pytest.approx(
+        (5.877017853855505, 1.0, 4.0306582286615456, 2.851343725284502),
+        rel=1e-6)
+    assert fit.residual == pytest.approx(0.013642740318157178, rel=1e-9)
+    assert fit.iterations > 0
     grid = analytic._FIT_R_GRID
     target = analytic._unit_distance_pdf(grid)
     rec = analytic.reconstructed_distance_pdf(grid, fit)

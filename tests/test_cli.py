@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from rfhnet import analytic, cli
 from rfhnet.config import (ConfigError, SweepSpec, load_config, parse_text,
@@ -177,6 +178,17 @@ def test_resolved_lines_round_trip(tmp_path):
     assert as_dict["network.lambda_b_per_km2"] == "100.0"
     assert as_dict["policy.erlang_index_mode"] == "slot_count"
     assert as_dict["sim.force_all_bs_transmit"] == "true"
+
+    # a density is written as the shortest text that loads back to it:
+    # 123/km2 is 123.00000000000001 after the round trip through per-m2
+    odd = write_cfg(tmp_path, BASE_NETWORK.replace("= 100", "= 123"),
+                    name="odd.cfg")
+    assert "network.lambda_b_per_km2=123.0" in resolved_lines(
+        *load_config(odd))
+    for km2 in range(1, 20001):
+        p = dataclasses.replace(params, lambda_b=per_km2_to_per_m2(km2))
+        assert f"network.lambda_b_per_km2={float(km2)!r}" in resolved_lines(
+            p, policy, sim, sweep), km2
 
 
 def test_resolved_lines_round_trip_every_key(tmp_path):
@@ -502,7 +514,7 @@ def test_fit_command_writes_profile(tmp_path, capsys):
     fitted = np.array([float(v[2]) for v in rows[1:]])
     # the tabulated target is the exact serving-distance density, so its
     # grid mass is ~1 (the grid misses only ~0.2% below r=0.025)
-    assert np.trapezoid(target, r) == pytest.approx(1.0, abs=0.01)
+    assert trapezoid(target, r) == pytest.approx(1.0, abs=0.01)
     assert np.max(np.abs(fitted - target)) <= 0.05 * target.max()
 
 

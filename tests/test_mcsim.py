@@ -6,9 +6,10 @@ import pytest
 from scipy import stats
 
 from rfhnet.core import NetworkParams, per_km2_to_per_m2
-from rfhnet.mcsim import (EDGE_GUARD, FieldRealization, SimConfig,
-                          _measure_area, _measure_masks, _pair_distances,
-                          estimate, run_replication, sample_field)
+from rfhnet.mcsim import (EDGE_GUARD, FieldRealization, ReplicationOutcome,
+                          SimConfig, _measure_area, _measure_masks,
+                          _pair_distances, estimate, run_replication,
+                          sample_field)
 
 
 def params_at(lambda_b_km2, lambda_u_km2, e_th=1e-5, sigma2=0.0):
@@ -94,9 +95,10 @@ def test_zero_user_field_reports_zeros():
                              association=np.zeros(0, dtype=int),
                              rosters=(np.zeros(0, dtype=int),))
     out = run_replication(field, TINY, ONE_CELL_CFG, np.random.default_rng(1))
-    assert out.p_tr_hat == 0.0
-    assert out.n_events == 0
-    assert out.mean_users_per_nonempty_cell == 0.0
+    assert out == ReplicationOutcome(p_tr_hat=0.0, t_avg_hat=0.0,
+                                     t_total_hat=0.0,
+                                     mean_users_per_nonempty_cell=0.0,
+                                     n_events=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,12 @@ import dataclasses
 import math
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfhnet.core import NumericPolicy
 from rfhnet.numerics import (FitResult, QuadratureError, QuadResult,
-                             integrate_semi_infinite, log_gamma,
-                             minimize_least_squares, poisson_cdf_upper)
+                             integrate_semi_infinite, poisson_cdf_upper)
 
 POLICY = NumericPolicy()
 
@@ -120,89 +118,10 @@ def test_poisson_sum_monotonicity(m, th, bump):
 
 
 # ---------------------------------------------------------------------------
-# log-gamma
+# fit record
 # ---------------------------------------------------------------------------
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    # Gamma(4.5) = 3.5 * 2.5 * 1.5 * 0.5 * sqrt(pi)
-    assert log_gamma(4.5) == pytest.approx(
-        math.log(6.5625 * math.sqrt(math.pi)), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-
-def test_log_gamma_rejects_nonpositive():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-
-@settings(deadline=None, max_examples=200)
-@given(x=st.floats(min_value=0.1, max_value=50.0))
-def test_log_gamma_recurrence(x):
-    assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x),
-                                               rel=1e-9, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# derivative-free least squares
-# ---------------------------------------------------------------------------
-
-def test_fit_recovers_exponential_decay():
-    x = np.linspace(0.0, 4.0, 40)
-    true = (2.5, 1.3)
-    y = true[0] * np.exp(-true[1] * x)
-
-    def residual(v):
-        return v[0] * np.exp(-v[1] * x) - y
-
-    fit = minimize_least_squares(residual, initial=(1.0, 0.5),
-                                 bounds=((0.1, 10.0), (0.1, 10.0)))
-    assert fit.coefficients == pytest.approx(true, rel=1e-5)
-    assert fit.residual < 1e-12
-    assert fit.iterations > 0
-
-
-def test_fit_respects_bounds():
-    # optimum (3.0) lies outside the box; the result must sit on the edge
-    def residual(v):
-        return np.array([v[0] - 3.0])
-
-    fit = minimize_least_squares(residual, initial=(1.0,),
-                                 bounds=((0.0, 2.0),))
-    assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-8)
-
-
-def test_fit_never_worse_than_initial():
-    # a nasty non-smooth objective; whatever happens, no regression
-    def residual(v):
-        return np.array([abs(v[0]) ** 0.3 + math.sin(40.0 * v[0])])
-
-    initial = (0.37,)
-    fit = minimize_least_squares(residual, initial, bounds=((-2.0, 2.0),))
-    start = float(np.sum(np.asarray(residual(np.array(initial))) ** 2))
-    assert fit.residual <= start + 1e-12
-
-
-def test_fit_rejects_mismatched_bounds():
-    with pytest.raises(ValueError):
-        minimize_least_squares(lambda v: np.array([v[0]]), initial=(1.0, 2.0),
-                               bounds=((0.0, 1.0),))
-
-
-def test_fit_rejects_nonfinite_start():
-    def residual(v):
-        return np.array([math.nan])
-
-    with pytest.raises(ValueError):
-        minimize_least_squares(residual, initial=(1.0,), bounds=((0.0, 2.0),))
-
 
 def test_fit_result_frozen():
-    fit = minimize_least_squares(lambda v: np.array([v[0] - 1.0]),
-                                 initial=(0.5,), bounds=((0.0, 2.0),))
-    assert isinstance(fit, FitResult)
+    fit = FitResult(coefficients=(1.0, 2.0), residual=0.5, iterations=3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fit.residual = 0.0
