@@ -1,7 +1,7 @@
 """Delivery probability against station density, closed form vs simulation.
 
 Runs the dual-path sweep in configs/delivery_vs_bs_density.cfg (24
-replications per point, a few minutes of wall time), then prints the two
+replications per point, about 20 s of wall time), then prints the two
 estimates side by side with the residual gap.  Point --config at the
 high-threshold variant to reproduce the harder regime.
 """

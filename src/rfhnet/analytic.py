@@ -566,13 +566,14 @@ def reconstructed_distance_pdf(r_norm, coefficients):
     """Serving-distance density (unit station density) implied by a
     unit-cell profile, evaluated on normalized distances r_norm: the
     profile at the given coefficients, scaled to each cell area and mixed
-    over the area distribution."""
+    over the area distribution.  A scalar r_norm gives a float."""
     x, w = _gauss_legendre(_FIT_XI_NODES)
     xi = 0.5 * (x + 1.0) * _FIT_XI_HI
     root = np.sqrt(xi)
-    g = conditional_distance_pdf(np.asarray(r_norm, dtype=float)[:, None]
+    g = conditional_distance_pdf(np.asarray(r_norm, dtype=float)[..., None]
                                  / root, coefficients)
-    return (g / root * cell_area_pdf(xi)) @ (0.5 * _FIT_XI_HI * w)
+    out = (g / root * cell_area_pdf(xi)) @ (0.5 * _FIT_XI_HI * w)
+    return float(out) if np.isscalar(r_norm) else out
 
 
 def fit_conditional_distance_pdf(policy: NumericPolicy) -> FitResult:

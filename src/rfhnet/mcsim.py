@@ -2,10 +2,19 @@
 
 One replication samples a station field and a user field over a square
 window, attaches users to nearest stations, then plays the round-robin
-schedule slot by slot with fresh Rayleigh fading on every link in every
-slot.  Scheduled users receive when their store covers e_th (scoring
-log2(1+SINR) and resetting the store); everyone else, including a scheduled
-user caught short, banks the conversion-scaled sum of received powers.
+schedule slot by slot.  Scheduled users receive when their store covers
+e_th (scoring log2(1+SINR) and resetting the store); everyone else,
+including a scheduled user caught short, banks the conversion-scaled sum of
+received powers.
+
+Fading is near/far.  Each user's _NEAR_STATIONS nearest stations, its
+serving station among them, get a fresh Rayleigh (unit-mean exponential)
+power gain every slot.  The rest of the field is one Gamma draw per user
+per slot with the far sum's exact mean sum(P_b) and variance sum(P_b^2);
+it is non-negative, and it stands in for the far field in both the harvest
+and the interference.  With at most _NEAR_STATIONS stations every link is
+drawn exactly, so a larger constant gives the exact dense model through
+the same code.
 
 Estimates are averaged across independent replications whose RNG streams
 are spawned from one master seed, so results are bit-reproducible and do
@@ -19,12 +28,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import NetworkParams, validate
 
 logger = logging.getLogger(__name__)
 
 _MAX_FIELD_RESAMPLES = 100
+
+# stations per user whose fading is drawn exactly in every slot; the rest
+# of the field is one moment-matched Gamma draw per user and slot
+_NEAR_STATIONS = 32
 
 EDGE_TORUS = "torus"
 EDGE_GUARD = "guard"
@@ -119,10 +133,15 @@ class ReplicationOutcome:
 def _pair_distances(user_xy: np.ndarray, bs_xy: np.ndarray,
                     config: SimConfig) -> np.ndarray:
     """(U, B) distance matrix under the configured edge metric."""
-    d = np.abs(user_xy[:, None, :] - bs_xy[None, :, :])
+    dx = np.abs(user_xy[:, 0, None] - bs_xy[None, :, 0])
+    dy = np.abs(user_xy[:, 1, None] - bs_xy[None, :, 1])
     if config.edge_mode == EDGE_TORUS:
-        d = np.minimum(d, config.region_side - d)
-    return np.sqrt(np.sum(d * d, axis=2))
+        np.minimum(dx, config.region_side - dx, out=dx)
+        np.minimum(dy, config.region_side - dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def sample_field(params: NetworkParams, config: SimConfig,
@@ -152,10 +171,19 @@ def sample_field(params: NetworkParams, config: SimConfig,
     user_xy = rng.uniform(lo, hi, size=(n_users, 2))
 
     if n_users:
-        association = np.argmin(_pair_distances(user_xy, bs_xy, config), axis=1)
+        if config.edge_mode == EDGE_TORUS:
+            # the periodic tree wants data in [0, side); the modulo only
+            # folds a coordinate that rounded up to side back to 0
+            tree = cKDTree(bs_xy % side, boxsize=side)
+        else:
+            tree = cKDTree(bs_xy)
+        association = tree.query(user_xy)[1]
     else:
         association = np.zeros(0, dtype=int)
-    rosters = tuple(np.nonzero(association == b)[0] for b in range(n_bs))
+    # user indices grouped by station, ascending within each roster
+    by_station = np.argsort(association, kind="stable")
+    cuts = np.cumsum(np.bincount(association, minlength=n_bs))[:-1]
+    rosters = tuple(np.split(by_station, cuts))
     return FieldRealization(bs_xy=bs_xy, user_xy=user_xy,
                             association=association, rosters=rosters)
 
@@ -180,6 +208,20 @@ def _measure_area(config: SimConfig) -> float:
     if config.edge_mode == EDGE_TORUS:
         return config.region_side ** 2
     return (config.measure_ring * config.region_side) ** 2
+
+
+def _log_far_field(near_power: np.ndarray, far_mean: np.ndarray,
+                   far_var: np.ndarray) -> None:
+    """One debug line on how much of each user's field the far draw
+    carries: its share of the mean received power, and of the variance."""
+    if not len(far_mean):
+        return
+    mean_share = far_mean / (far_mean + near_power.sum(axis=1))
+    var_share = far_var / (far_var + np.square(near_power).sum(axis=1))
+    logger.debug("near/far fading: near set %d stations, far mean share "
+                 "median %.3g, far variance share median %.3g max %.3g",
+                 near_power.shape[1], float(np.median(mean_share)),
+                 float(np.median(var_share)), float(var_share.max()))
 
 
 def run_replication(field: FieldRealization, params: NetworkParams,
@@ -210,12 +252,31 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     dist = _pair_distances(field.user_xy, field.bs_xy, config)
     if not np.all(dist > 0):
         raise RuntimeError("degenerate zero-length link in sampled field")
-    link_power = params.p_s * dist ** (-params.alpha)   # (U, B)
-
     if config.force_all_bs_transmit:
         active = np.ones(n_bs)
     else:
         active = (roster_len > 0).astype(float)
+    link_power = params.p_s * dist ** (-params.alpha) * active   # (U, B)
+
+    # near set: each user's n_near nearest stations, its serving station in
+    # column 0 (a zeroed distance is the unique minimum); far set: the rest
+    n_near = min(_NEAR_STATIONS, n_bs)
+    dist[np.arange(n_users), field.association] = 0.0
+    order = np.argpartition(dist, (0, n_near - 1), axis=1)
+    near_power = np.take_along_axis(link_power, order[:, :n_near], axis=1)
+    far_power = np.take_along_axis(link_power, order[:, n_near:], axis=1)
+    # Exp(1) has unit variance, so the far sum has mean sum(P) and variance
+    # sum(P^2); where the variance underflows (or every far station is
+    # silent) the mean is added as a constant
+    far_mean = far_power.sum(axis=1)
+    far_var = np.square(far_power).sum(axis=1)
+    drawn = np.nonzero(far_var > 0)[0]
+    far_fixed = far_mean.copy()
+    far_fixed[drawn] = 0.0
+    gamma_shape = far_mean[drawn] ** 2 / far_var[drawn]
+    gamma_scale = far_var[drawn] / far_mean[drawn]
+    if logger.isEnabledFor(logging.DEBUG):
+        _log_far_field(near_power, far_mean, far_var)
 
     # flatten rosters so each slot's scheduled users come from one gather;
     # with no users every slot schedules nobody and n_events stays 0
@@ -228,7 +289,7 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     sched_count = np.zeros(n_users, dtype=int)    # counted scheduled slots
     ready_count = np.zeros(n_users, dtype=int)
     score_sum = np.zeros(n_users)
-    gains = np.empty((n_users, n_bs))
+    received = np.empty((n_users, n_near))
 
     if trace is not None:
         trace["stored_series"] = []
@@ -237,9 +298,14 @@ def run_replication(field: FieldRealization, params: NetworkParams,
 
     a_slot = params.a_eff * params.slot_seconds
     for t in range(config.n_slots):
-        rng.standard_exponential(out=gains)
-        received = gains * link_power               # (U, B) per-link powers
-        row_power = received @ active               # (U,) totals
+        rng.standard_exponential(out=received)
+        received *= near_power                      # (U, K) near-link powers
+        # interference summed apart from the signal, so a dominant serving
+        # link cannot cancel it to zero
+        interf = received[:, 1:].sum(axis=1) + far_fixed
+        if drawn.size:
+            interf[drawn] += rng.gamma(gamma_shape, gamma_scale)
+        row_power = interf + received[:, 0]         # (U,) totals
 
         heads = flat[offsets + t % lens]
         ready = stored[heads] >= params.e_th
@@ -249,14 +315,12 @@ def run_replication(field: FieldRealization, params: NetworkParams,
         hit = ready & counted
         if np.any(hit):
             who = heads[hit]
-            sig = received[who, nonempty[hit]]
-            interf = row_power[who] - sig
             ready_count[who] += 1
             # an isolated transmitter with zero noise has unbounded rate;
             # keep the inf rather than masking the degenerate geometry
             with np.errstate(divide="ignore"):
-                score_sum[who] += np.log2(1.0 + sig
-                                          / (params.sigma2 + interf))
+                score_sum[who] += np.log2(
+                    1.0 + received[who, 0] / (params.sigma2 + interf[who]))
 
         harvesting = np.ones(n_users, dtype=bool)
         harvesting[heads[ready]] = False

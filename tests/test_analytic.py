@@ -472,6 +472,17 @@ def test_reconstruction_at_reference_coefficients():
     assert float(np.max(np.abs(rec - target))) <= 0.03 * float(target.max())
 
 
+def test_reconstruction_takes_scalars():
+    grid = analytic._FIT_R_GRID[::7]
+    on_grid = analytic.reconstructed_distance_pdf(grid, None)
+    for r, expected in zip(grid, on_grid):
+        value = analytic.reconstructed_distance_pdf(float(r), None)
+        assert isinstance(value, float)
+        assert value == pytest.approx(float(expected), rel=1e-12)
+    with pytest.raises(ValueError):
+        analytic.reconstructed_distance_pdf(-0.5, None)
+
+
 def test_fit_recovers_reference_profile(policy):
     fit = analytic.fit_conditional_distance_pdf(policy)
     c1, c2, c3, c4 = fit.coefficients

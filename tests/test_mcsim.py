@@ -1,10 +1,13 @@
 import dataclasses
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from rfhnet import mcsim
 from rfhnet.core import NetworkParams, per_km2_to_per_m2
 from rfhnet.mcsim import (EDGE_GUARD, FieldRealization, ReplicationOutcome,
                           SimConfig, _measure_area, _measure_masks,
@@ -12,10 +15,10 @@ from rfhnet.mcsim import (EDGE_GUARD, FieldRealization, ReplicationOutcome,
                           sample_field)
 
 
-def params_at(lambda_b_km2, lambda_u_km2, e_th=1e-5, sigma2=0.0):
+def params_at(lambda_b_km2, lambda_u_km2, e_th=1e-5, sigma2=0.0, alpha=3.0):
     return NetworkParams(lambda_b=per_km2_to_per_m2(lambda_b_km2),
                          lambda_u=per_km2_to_per_m2(lambda_u_km2),
-                         p_s=1.0, alpha=3.0, a_eff=0.5, e_th=e_th,
+                         p_s=1.0, alpha=alpha, a_eff=0.5, e_th=e_th,
                          sigma2=sigma2)
 
 
@@ -311,3 +314,102 @@ def test_baseline_delivery_stays_high():
     out = estimate(p, SimConfig(n_slots=400, n_replications=6, seed=7))
     assert out.p_tr_hat >= 0.95
     assert out.p_tr_stderr < 0.02
+
+
+# ---------------------------------------------------------------------------
+# near/far fading kernel
+# ---------------------------------------------------------------------------
+
+class GammaCountingRng:
+    """A Generator stand-in that counts the Gamma variates drawn."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.gamma_draws = 0
+
+    def gamma(self, shape, scale):
+        self.gamma_draws += np.size(shape)
+        return self._rng.gamma(shape, scale)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def replication_outcomes(p, cfg):
+    """(p_tr, t_avg, t_total) of each replication estimate() would run."""
+    rows = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_replications):
+        rng = np.random.default_rng(child)
+        out = run_replication(sample_field(p, cfg, rng), p, cfg, rng)
+        rows.append((out.p_tr_hat, out.t_avg_hat, out.t_total_hat))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0])
+@pytest.mark.parametrize("e_th,lambda_u", [(1e-5, 450.0), (7e-5, 150.0)])
+def test_near_far_matches_exact_fading(alpha, e_th, lambda_u, monkeypatch):
+    """Near/far against exact fading on every link (all stations in the
+    near set) on the same seeded fields of 250 stations/km^2: the mean
+    paired difference of p_tr, t_avg and t_total lies within 3 standard
+    errors of the paired differences."""
+    p = params_at(250.0, lambda_u, e_th=e_th, alpha=alpha)
+    cfg = SimConfig(n_slots=300, n_replications=8, seed=6)
+    near_far = replication_outcomes(p, cfg)
+    monkeypatch.setattr(mcsim, "_NEAR_STATIONS", 10 ** 9)
+    exact = replication_outcomes(p, cfg)
+    diff = near_far - exact
+    stderr = diff.std(axis=0, ddof=1) / math.sqrt(cfg.n_replications)
+    assert np.all(np.abs(diff.mean(axis=0)) <= 3.0 * stderr), (
+        diff.mean(axis=0), stderr)
+
+
+def test_small_field_draws_every_link_exactly(monkeypatch):
+    """With no more stations than _NEAR_STATIONS there is no far set: no
+    Gamma variate is drawn, and raising the constant changes no bit.  A
+    larger field does draw them."""
+    p = params_at(20.0, 100.0)
+    cfg = SimConfig(n_slots=50, n_replications=1, seed=4)
+    field = sample_field(p, cfg, np.random.default_rng(4))
+    assert 1 < len(field.bs_xy) <= mcsim._NEAR_STATIONS
+    rng = GammaCountingRng(np.random.default_rng(5))
+    out = run_replication(field, p, cfg, rng)
+    assert rng.gamma_draws == 0
+    monkeypatch.setattr(mcsim, "_NEAR_STATIONS", 10 ** 9)
+    assert run_replication(field, p, cfg, np.random.default_rng(5)) == out
+    monkeypatch.undo()
+
+    dense = sample_field(params_at(200.0, 100.0), cfg,
+                         np.random.default_rng(4))
+    assert len(dense.bs_xy) > mcsim._NEAR_STATIONS
+    rng = GammaCountingRng(np.random.default_rng(5))
+    run_replication(dense, params_at(200.0, 100.0), cfg, rng)
+    assert rng.gamma_draws == len(dense.user_xy) * cfg.n_slots
+
+
+def test_extreme_path_loss_stays_finite():
+    """At alpha = 60 the serving link outweighs its interference by more
+    than the float64 precision; summing the interference apart keeps every
+    rate finite, and no step warns."""
+    p = params_at(1000.0, 450.0, alpha=60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = estimate(p, SimConfig(n_slots=60, n_replications=2, seed=3))
+    assert out.n_events > 0
+    for value in (out.p_tr_hat, out.t_avg_hat, out.t_total_hat,
+                  out.p_tr_stderr, out.t_avg_stderr, out.t_total_stderr):
+        assert math.isfinite(value)
+
+
+def test_far_field_shares_logged_at_debug(caplog, capsys):
+    """One debug line per replication reports the near/far split; nothing
+    reaches stdout."""
+    p = params_at(200.0, 100.0)
+    cfg = SimConfig(n_slots=20, n_replications=3, seed=2)
+    with caplog.at_level(logging.DEBUG, logger="rfhnet.mcsim"):
+        estimate(p, cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "rfhnet.mcsim"]
+    assert len(lines) == 3
+    assert all(line.startswith("near/far fading: near set 32 stations")
+               and "far variance share median" in line for line in lines)
+    assert capsys.readouterr().out == ""
