@@ -16,7 +16,9 @@ truncated Poisson series.
 """
 from __future__ import annotations
 
+import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -41,6 +43,22 @@ _MIX_NODES = 192
 # at this plus one k_max_cap segment (a few MB)
 _BLOCK_ENTRIES = 1 << 15
 _LN2 = math.log(2.0)
+
+# Rate lattice of _rate_lattice: the step of its uniform grid in y, where
+# t = log(1 + e^y), and the y its lowest node reaches (the integrand there
+# is below e^y, so the cut-off tail is under 5e-18)
+_RATE_STEP = 0.15
+_RATE_Y_MIN = -40.0
+# log2 of the largest float: past it 2^t - 1 overflows and the rate CCDF is
+# taken as 0, by capacity_ccdf and the lattice alike
+_RATE_T_MAX = math.log(sys.float_info.max) / _LN2
+# Gregory's end weights, in units of the step: with them the trapezoid rule
+# is exact for cubics
+_GREGORY_ENDS = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
+# exp(-x) rounds to exactly 0.0 for every x above this
+_EXP_ZERO = 746.0
+
+logger = logging.getLogger(__name__)
 
 Coeffs = Union[FitResult, Sequence[float], None]
 
@@ -154,11 +172,21 @@ def _mean_cell_area(rel_tol: float) -> float:
 # energy readiness
 # ---------------------------------------------------------------------------
 
+def _path_loss(r1: float, alpha: float) -> float:
+    """r1^alpha, +inf where that exceeds the float range."""
+    try:
+        return math.pow(r1, alpha)
+    except OverflowError:
+        return math.inf
+
+
 def _link_budget(r1: float, params: NetworkParams):
     """(demand, per_slot) at serving distance r1: the e_th requirement
     referred to the serving link's path gain, and the mean far-field
-    harvest of one slot on the same scale."""
-    demand = params.e_th * r1 ** params.alpha / (params.a_eff * params.p_s)
+    harvest of one slot on the same scale.  The demand is +inf where the
+    path loss exceeds the float range."""
+    demand = (params.e_th * _path_loss(r1, params.alpha)
+              / (params.a_eff * params.p_s))
     per_slot = (2.0 * math.pi * params.lambda_b * r1 * r1
                 / (params.alpha - 2.0))
     return demand, per_slot
@@ -316,10 +344,13 @@ def _per_distance(r1: float, params: NetworkParams,
     Any cell population n large enough that the mean far field covers the
     demand within one round delivers immediately; only the finitely many
     smaller n need the rounds series, so the user-count mixture is never
-    truncated, merely split at that threshold.
+    truncated, merely split at that threshold (capped at n_max_cap, which
+    an infinite demand reaches).
     """
     demand, per_slot = _link_budget(r1, params)
-    n_ready = min(math.ceil(demand / per_slot), policy.n_max_cap)
+    ratio = demand / per_slot
+    n_ready = (policy.n_max_cap if ratio >= policy.n_max_cap
+               else math.ceil(ratio))
 
     if n_ready == 0:
         return 1.0
@@ -379,95 +410,145 @@ def rho(x: float, alpha: float) -> float:
     """Interference scaling exponent of the SIR tail,
     x^(2/alpha) * integral_{x^(-2/alpha)}^inf du / (1 + u^(alpha/2)),
     in its closed form 2x/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -x)
-    (Andrews, Baccelli and Ganti, IEEE TCOM 2011).  x * 2F1 is formed
-    first: it grows like x^(2/alpha), so it stays finite for every finite x.
+    (Andrews, Baccelli and Ganti, IEEE TCOM 2011).  A scalar view on _rho.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     if not alpha > 2:
         raise ValueError("alpha must exceed 2")
+    return float(_rho(x, alpha))
+
+
+def _rho(x, alpha: float):
+    """rho on a float or an array of x.  x * 2F1 is formed first: it grows
+    like x^(2/alpha), so it stays finite up to the largest float, except
+    with alpha within about 0.01 of 2, where the value itself exceeds the
+    float range near there and is +inf, without an overflow warning."""
     a = 2.0 / alpha
-    return float(x * special.hyp2f1(1.0, 1.0 - a, 2.0 - a, -x)
-                 * (2.0 / (alpha - 2.0)))
+    with np.errstate(over="ignore"):
+        return (x * special.hyp2f1(1.0, 1.0 - a, 2.0 - a, -x)
+                * (2.0 / (alpha - 2.0)))
 
 
 def capacity_ccdf(t: float, r1: float, params: NetworkParams) -> float:
     """Probability the instantaneous link rate exceeds t bits per slot at
-    serving distance r1, under Rayleigh fading with full interference."""
+    serving distance r1, under Rayleigh fading with full interference.
+    Past _RATE_T_MAX, where 2^t - 1 overflows, it is 0.  Evaluated one t at
+    a time, this is the reference the rate lattice is tested against."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if not r1 > 0:
         raise ValueError("r1 must be positive")
-    return _rate_ccdf(t, r1, params.lambda_b, params.alpha, params.sigma2,
-                      params.p_s)
-
-
-def _rate_ccdf(t, r1, lambda_b, alpha, sigma2, p_s):
-    """capacity_ccdf on the four NetworkParams fields the link rate
-    depends on, which key the mean-rate cache."""
     if t == 0:
         return 1.0
     try:
         snr_th = math.expm1(t * _LN2)
     except OverflowError:
         return 0.0
-    if sigma2 > 0:
+    if params.sigma2 > 0:
         # sigma2 first, so a huge threshold overflows to +inf (ccdf 0)
         # instead of forming inf*0 when noise is switched off
-        noise = snr_th * sigma2 / p_s * r1 ** alpha
+        noise = (snr_th * params.sigma2 / params.p_s
+                 * _path_loss(r1, params.alpha))
     else:
         noise = 0.0
-    interf = math.pi * lambda_b * r1 * r1 * rho(snr_th, alpha)
+    interf = math.pi * params.lambda_b * r1 * r1 * rho(snr_th, params.alpha)
     total = noise + interf
     if math.isinf(total):
         return 0.0
     return math.exp(-total)
 
 
-# Complete interference integral, lim_{x->inf} rho(x)/x^(2/alpha).
-def _rho_asymptote(alpha: float) -> float:
-    return (2.0 * math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
+def _gregory(steps: int, h: float) -> np.ndarray:
+    """Weights of the composite trapezoid rule with step h on steps + 1
+    nodes, with Gregory's end corrections."""
+    w = np.full(steps + 1, h)
+    ends = h * np.array(_GREGORY_ENDS)
+    w[:3] = ends
+    w[-3:] = ends[::-1]
+    return w
+
+
+@lru_cache(maxsize=16)
+def _rate_lattice(alpha: float):
+    """The fixed nodes of E[C] = integral_0^inf P(C > t) dt at path-loss
+    exponent alpha, as arrays (w, dw, s, rho_s) ascending in t.
+
+    t = log(1 + e^y) on a uniform grid in y of step _RATE_STEP, running
+    down from _RATE_T_MAX (where t = y to double precision) past
+    _RATE_Y_MIN, an even number of steps.  w are the Gregory-corrected
+    trapezoid weights times dt/dy, and dw is w minus the same weights of
+    the step-2h sub-lattice (every other node), so that |dw . f| is an
+    embedded error estimate.  s = 2^t - 1 is the SINR threshold and rho_s
+    is rho(s), capped at the largest float so that q * rho_s is never
+    inf * 0.  The arrays are read-only: every caller shares them.
+    """
+    steps = 2 * math.ceil((_RATE_T_MAX - _RATE_Y_MIN) / (2.0 * _RATE_STEP))
+    y = _RATE_T_MAX - _RATE_STEP * np.arange(steps, -1, -1)
+    dt_dy = special.expit(y)
+    w = _gregory(steps, _RATE_STEP) * dt_dy
+    coarse = np.zeros(steps + 1)
+    coarse[::2] = _gregory(steps // 2, 2.0 * _RATE_STEP)
+    dw = w - coarse * dt_dy
+    s = np.expm1(np.logaddexp(0.0, y) * _LN2)
+    rho_s = np.minimum(_rho(s, alpha), sys.float_info.max)
+    for a in (w, dw, s, rho_s):
+        a.flags.writeable = False
+    return w, dw, s, rho_s
+
+
+def _mean_rate(r1: float, params: NetworkParams):
+    """E[C|r1] and its embedded error estimate, in bits per slot: the
+    rate-lattice sum of w * exp(-q * rho(s) - c * s), with q the
+    interference weight pi * lambda_b * r1^2 and c the noise weight
+    sigma2 * r1^alpha / p_s (0 without noise).  The nodes from the first
+    at which either term reaches _EXP_ZERO on hold exact zeros and are
+    skipped."""
+    w, dw, s, rho_s = _rate_lattice(params.alpha)
+    q = math.pi * params.lambda_b * r1 * r1
+    n = np.searchsorted(rho_s, _EXP_ZERO / q) if q > 0 else len(s)
+    if params.sigma2 > 0:
+        c = params.sigma2 / params.p_s * _path_loss(r1, params.alpha)
+        if c > 0:
+            n = min(n, np.searchsorted(s, _EXP_ZERO / c))
+        f = np.exp(-q * rho_s[:n] - c * s[:n])
+    else:
+        f = np.exp(-q * rho_s[:n])
+    return float(w[:n] @ f), abs(float(dw[:n] @ f))
 
 
 def expected_capacity_given_r1(r1: float, params: NetworkParams,
                                policy: NumericPolicy) -> float:
-    """Mean link rate at serving distance r1, integrating the rate CCDF.
-    Cached on the fields it depends on, so sweeps over user density or
-    e_th reuse it."""
+    """Mean link rate at serving distance r1, the rate CCDF integrated on
+    the fixed lattice of _rate_lattice, which is built once per alpha and
+    agrees with an adaptive integral of capacity_ccdf to about 1e-12
+    relative.  policy does not enter: the lattice has no tolerance."""
     if not r1 > 0:
         raise ValueError("r1 must be positive")
-    return _expected_capacity_cached(
-        float(r1), params.lambda_b, params.alpha, params.sigma2, params.p_s,
-        policy.quad_rel_tol)
-
-
-@lru_cache(maxsize=100_000)
-def _expected_capacity_cached(r1, lambda_b, alpha, sigma2, p_s, rel_tol):
-    q = math.pi * lambda_b * r1 * r1
-    # scale of the rate integral: where the interference (or noise) exponent
-    # reaches order one
-    snr_interf = (1.0 / (_rho_asymptote(alpha) * q)) ** (alpha / 2.0) \
-        if q > 0 else math.inf
-    snr_noise = (p_s / (sigma2 * r1 ** alpha)) if sigma2 > 0 else math.inf
-    snr_star = min(snr_interf, snr_noise)
-    t_scale = max(0.5, math.log2(1.0 + min(snr_star, 1e300)))
-    pol = NumericPolicy(quad_rel_tol=rel_tol)
-    res = integrate_semi_infinite(
-        lambda t: _rate_ccdf(t, r1, lambda_b, alpha, sigma2, p_s),
-        pol, scale=t_scale)
-    return res.value
+    return _mean_rate(float(r1), params)[0]
 
 
 def avg_cell_throughput(params: NetworkParams, policy: NumericPolicy) -> float:
     """Mean delivered rate per scheduled slot of the typical user's cell:
-    capacity weighted by delivery probability, averaged over distance."""
+    capacity weighted by delivery probability, averaged over distance.
+    Logs at debug level the distance quadrature's evaluations and error
+    estimate, and the rate lattice's largest embedded error estimate."""
     validate(params)
-    scale = 0.5 / math.sqrt(params.lambda_b)
-    res = integrate_semi_infinite(
-        lambda r: expected_capacity_given_r1(r, params, policy)
-        * _per_distance(r, params, policy)
-        * nearest_distance_pdf(r, params),
-        policy, scale=scale)
+    rate_error = 0.0
+
+    def integrand(r):
+        nonlocal rate_error
+        rate, error = _mean_rate(r, params)
+        rate_error = max(rate_error, error)
+        return (rate * _per_distance(r, params, policy)
+                * nearest_distance_pdf(r, params))
+
+    res = integrate_semi_infinite(integrand, policy,
+                                  scale=0.5 / math.sqrt(params.lambda_b))
+    logger.debug("avg_cell_throughput: distance quadrature %d evaluations, "
+                 "abs error estimate %.3g; rate lattice largest h vs 2h "
+                 "error estimate %.3g bits/slot",
+                 res.evaluations, res.abs_error_estimate, rate_error)
     return res.value
 
 

@@ -1,10 +1,14 @@
 import dataclasses
+import logging
 import math
+import re
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from oracle_harvest import mc_ready
 from rfhnet import analytic
@@ -335,6 +339,72 @@ def test_expected_capacity_scale_invariance(baseline_params, policy):
     assert a > 0
 
 
+# where 2^t - 1 overflows; capacity_ccdf is 0 past it
+RATE_T_CUT = math.log(sys.float_info.max) / math.log(2.0)
+
+
+def adaptive_mean_rate(r1, params):
+    """E[C|r1] by adaptive quadrature of the scalar capacity_ccdf.  It runs
+    on [0, RATE_T_CUT] with a breakpoint at every power of two from 2^-40,
+    so that it finds the mass at any rate scale, and so that the CCDF's
+    drop to 0 at the cut is an end point: with alpha = 60 and q = 1e-10 it
+    is still 0.15 there, and the half-line map of integrate_semi_infinite
+    then converges to a value 2e-9 off while estimating 1e-11."""
+    value, _ = integrate.quad(
+        lambda t: analytic.capacity_ccdf(t, r1, params), 0.0, RATE_T_CUT,
+        points=[2.0 ** k for k in range(-40, 11)], epsabs=1e-16,
+        epsrel=1e-12, limit=2000)
+    return value
+
+
+@pytest.mark.parametrize("alpha", [2.01, 2.05, 2.2, 3.0, 4.0, 5.5, 60.0])
+def test_rate_lattice_matches_adaptive_reference(alpha, policy):
+    """The fixed-lattice E[C|r1] against the adaptive integral of the
+    scalar rate CCDF, with and without noise: over interference weights
+    q = pi*lambda_b*r1^2 from 1e-13 to 1e2, and at r1 = 0.1 mm and 100 km,
+    where the rate reaches its float limits.  No RuntimeWarning either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sigma2 in (0.0, 1e-12, 1e-9):
+            p = params_at(alpha=alpha, sigma2=sigma2)
+            r1s = [math.sqrt(q / (math.pi * p.lambda_b))
+                   for q in np.logspace(-13, 2, 16)]
+            for r1 in r1s + [1e-4, 1e5]:
+                got = analytic.expected_capacity_given_r1(r1, p, policy)
+                ref = adaptive_mean_rate(r1, p)
+                assert abs(got - ref) <= max(1e-9 * ref, 1e-14), (sigma2, r1)
+
+
+def test_rho_overflows_quietly_near_alpha_two():
+    """Within 0.01 of alpha = 2, rho of the largest float exceeds the float
+    range: +inf, without an overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert analytic.rho(sys.float_info.max, 2.01) == math.inf
+        assert math.isfinite(analytic.rho(1e300, 2.01))
+
+
+def test_avg_cell_throughput_logs_diagnostics_at_debug(baseline_params,
+                                                        policy, caplog,
+                                                        capsys):
+    """One debug line per call reports the distance quadrature's
+    evaluations and error estimate and the rate lattice's largest embedded
+    error estimate; nothing reaches stdout."""
+    with caplog.at_level(logging.DEBUG, logger="rfhnet.analytic"):
+        analytic.avg_cell_throughput(baseline_params, policy)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "rfhnet.analytic"]
+    assert len(lines) == 1
+    m = re.fullmatch(r"avg_cell_throughput: distance quadrature (\d+) "
+                     r"evaluations, abs error estimate (\S+); rate lattice "
+                     r"largest h vs 2h error estimate (\S+) bits/slot",
+                     lines[0])
+    assert m and int(m.group(1)) > 0
+    assert 0.0 <= float(m.group(2)) < 1e-6
+    assert 0.0 <= float(m.group(3)) < 1e-6
+    assert capsys.readouterr().out == ""
+
+
 def test_active_station_density_closed_form():
     lam = 1e-4
     assert analytic.active_station_density(lam, 3.5 * lam) == pytest.approx(
@@ -403,6 +473,17 @@ def test_mean_users_matches_distance_integral(lambda_b_km2, policy):
                                     scale=0.5 / math.sqrt(p.lambda_b)).value
     got = analytic.delivery_prob(p, policy).expected_users_typical_cell
     assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_delivery_prob_with_demand_beyond_float_range(policy):
+    """At alpha = 60, r1^alpha overflows at 200 km: the demand is then
+    infinite, every population below n_max_cap waits forever, and p_tr is
+    still a probability."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p_tr = analytic.delivery_prob_given_r1(2e5, params_at(alpha=60.0),
+                                               policy)
+    assert 0.0 <= p_tr <= 1.0
 
 
 def test_delivery_prob_validates_params(policy):

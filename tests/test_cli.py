@@ -249,6 +249,26 @@ def test_shipped_preamble_matches_committed_results():
     assert resolved_lines(*cfg) == committed
 
 
+def test_committed_saturation_sweep_reproduces(tmp_path):
+    """results/throughput_saturation_lb100.csv is what
+    scripts/throughput_saturation.py writes at 100 stations/km^2: the same
+    preamble and rows, with t_total within 1e-10 relative."""
+    out = tmp_path / "lb100.csv"
+    assert cli.main(["sweep", "--config",
+                     str(REPO / "configs" / "throughput_vs_user_density.cfg"),
+                     "--lambda-b", "100.0", "--output", str(out)]) == 0
+    cfg, rows = cli.read_sweep_csv(str(out))
+    committed_cfg, committed = cli.read_sweep_csv(
+        str(REPO / "results" / "throughput_saturation_lb100.csv"))
+    assert cfg == committed_cfg
+    assert len(rows) == len(committed) == 6
+    for a, b in zip(rows, committed):
+        assert a.metric == "t_total"
+        assert (a.value, a.metric, a.mode, a.error) == (
+            b.value, b.metric, b.mode, b.error)
+        assert a.result == pytest.approx(b.result, rel=1e-10)
+
+
 def test_readme_config_table_lists_every_key():
     cfg = load_config(str(REPO / "configs" / "delivery_vs_bs_density.cfg"))
     keys = {line.split("=", 1)[0] for line in resolved_lines(*cfg)}
