@@ -39,8 +39,9 @@ CELL_AREA_RATE = 3.5
 UNIT_CELL_COEFFS = (6.029, 1.0, 3.891, 2.7)
 
 _MIX_NODES = 192
-# (n, k) entries per block of the delivery kernel, which bounds its arrays
-# at this plus one k_max_cap segment (a few MB)
+# entries per block of the delivery kernel, (r1, n, k) for the rounds and
+# (r1, n) for the users-pmf mixture, which bounds its arrays at this plus
+# one k_max_cap segment or one n_max_cap row (a few MB)
 _BLOCK_ENTRIES = 1 << 15
 _LN2 = math.log(2.0)
 
@@ -119,10 +120,10 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-@lru_cache(maxsize=4096)
-def _area_mixture(s: float, coeffs: tuple):
+def _area_mixture(s, coeffs: tuple):
     """Quadrature nodes and normalized weights of the cell-area distribution
-    seen from normalized serving distance s = r1*sqrt(lambda_b).
+    seen from normalized serving distance s = r1*sqrt(lambda_b), as arrays
+    (xi, wt) of shape s.shape + (_MIX_NODES,): one row per distance.
 
     The weight of area xi is proportional to the scaled unit-cell distance
     profile g(s/sqrt(xi))/sqrt(xi) times the size-biased area density; the
@@ -130,7 +131,8 @@ def _area_mixture(s: float, coeffs: tuple):
     user-count mixtures built on top of them sum to one.
     """
     c1, c2, c3, c4 = coeffs
-    xi_hi = max(15.0, 3.0 * s * s)
+    s = np.asarray(s, dtype=float)[..., None]
+    xi_hi = np.maximum(15.0, 3.0 * s * s)
     x, w = _gauss_legendre(_MIX_NODES)
     xi = 0.5 * (x + 1.0) * xi_hi
     base = 0.5 * xi_hi * w
@@ -138,14 +140,9 @@ def _area_mixture(s: float, coeffs: tuple):
     u = s / np.sqrt(xi)
     logw = ((CELL_AREA_SHAPE - 1.0) * log_xi - CELL_AREA_RATE * xi
             - 0.5 * (c2 + 1.0) * log_xi - c3 * np.power(u, c4))
-    peak = logw.max()
-    if not math.isfinite(peak):
-        # s so extreme the profile underflows everywhere; any proper weight
-        # works because every caller multiplies by a vanishing density in r1
-        logw = (CELL_AREA_SHAPE - 1.0) * log_xi - CELL_AREA_RATE * xi
-        peak = logw.max()
-    wt = base * np.exp(logw - peak)
-    wt /= wt.sum()
+    # xi_hi grows like s^2, so u stays below about 100 and logw is finite
+    wt = base * np.exp(logw - logw.max(axis=-1, keepdims=True))
+    wt /= wt.sum(axis=-1, keepdims=True)
     return xi, wt
 
 
@@ -162,7 +159,7 @@ def _mean_cell_area(rel_tol: float) -> float:
     many other users on average."""
     def mean_area(s):
         xi, wt = _area_mixture(s, UNIT_CELL_COEFFS)
-        return float(np.dot(wt, xi)) * _unit_distance_pdf(s)
+        return (wt * xi).sum(axis=-1) * _unit_distance_pdf(s)
 
     return integrate_semi_infinite(
         mean_area, NumericPolicy(quad_rel_tol=rel_tol), scale=0.5).value
@@ -180,16 +177,28 @@ def _path_loss(r1: float, alpha: float) -> float:
         return math.inf
 
 
-def _link_budget(r1: float, params: NetworkParams):
-    """(demand, per_slot) at serving distance r1: the e_th requirement
-    referred to the serving link's path gain, and the mean far-field
-    harvest of one slot on the same scale.  The demand is +inf where the
-    path loss exceeds the float range."""
-    demand = (params.e_th * _path_loss(r1, params.alpha)
-              / (params.a_eff * params.p_s))
+def _link_budget(r1, params: NetworkParams):
+    """(demand, per_slot) at serving distance r1, a float or an array: the
+    e_th requirement referred to the serving link's path gain, and the mean
+    far-field harvest of one slot on the same scale.  The demand is +inf
+    where the path loss exceeds the float range."""
+    r1 = np.asarray(r1, dtype=float)
+    with np.errstate(over="ignore"):
+        demand = (params.e_th * np.power(r1, params.alpha)
+                  / (params.a_eff * params.p_s))
     per_slot = (2.0 * math.pi * params.lambda_b * r1 * r1
                 / (params.alpha - 2.0))
     return demand, per_slot
+
+
+def _demand_ratio(demand, per_slot):
+    """demand / per_slot, the number of slots of mean far field that cover
+    the demand.  Below r1 of about 1e-160 m per_slot underflows to 0: the
+    ratio is then 0 where the demand has underflowed too (0/0, nothing to
+    charge) and +inf where it is positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = demand / per_slot
+    return np.where(demand == 0, 0.0, ratio)
 
 
 def theta(k: int, n: int, r1: float, params: NetworkParams) -> float:
@@ -199,7 +208,7 @@ def theta(k: int, n: int, r1: float, params: NetworkParams) -> float:
     k*(n+1)-1 elapsed slots."""
     _check_kn(k, n, r1)
     demand, per_slot = _link_budget(r1, params)
-    return demand - per_slot * (k * (n + 1) - 1)
+    return float(demand - per_slot * (k * (n + 1) - 1))
 
 
 def energy_ready_prob(k: int, n: int, r1: float, params: NetworkParams,
@@ -244,13 +253,22 @@ def _check_kn(k, n, r1):
         raise ValueError("r1 must be positive")
 
 
-def _mean_inverse_rounds(ns: np.ndarray, r1: float, params: NetworkParams,
-                         policy: NumericPolicy) -> np.ndarray:
-    """E[1/K] for each cell population in ns at serving distance r1, where
-    K is the first round whose scheduled slot finds the store full.
+def _blocks(sizes: np.ndarray):
+    """(lo, hi) ranges of consecutive items whose sizes add up to about
+    _BLOCK_ENTRIES; an item larger than that is a block of its own."""
+    block_of = (np.cumsum(sizes) - 1) // _BLOCK_ENTRIES
+    cuts = [0, *(np.flatnonzero(np.diff(block_of)) + 1), len(sizes)]
+    return zip(cuts[:-1], cuts[1:])
 
-    Each n's readiness curve over rounds k = 1..k_top is one segment of a
-    ragged array, so a block of populations takes one gammaincc call.  A
+
+def _mean_inverse_rounds(ns: np.ndarray, r1, params: NetworkParams,
+                         policy: NumericPolicy) -> np.ndarray:
+    """E[1/K] for each cell population in ns at serving distance r1 (a
+    float, or an array with one distance per population), where K is the
+    first round whose scheduled slot finds the store full.
+
+    Each (r1, n) readiness curve over rounds k = 1..k_top is one segment of
+    a ragged array, so a block of populations takes one gammaincc call.  A
     segment ends exactly at k_star, the first round whose mean far field
     alone covers the demand (readiness 1, no later mass), is hard capped at
     k_max_cap, and is cut early at the first readiness within
@@ -260,23 +278,22 @@ def _mean_inverse_rounds(ns: np.ndarray, r1: float, params: NetworkParams,
     taken about _BLOCK_ENTRIES entries at a time, because at large r1
     every segment runs to k_max_cap.
     """
-    demand, per_slot = _link_budget(r1, params)
     ns = np.asarray(ns, dtype=np.int64)
-    k_star = np.maximum(1.0, np.ceil((demand / per_slot + 1.0) / (ns + 1)))
+    demand, per_slot = _link_budget(np.broadcast_to(r1, ns.shape), params)
+    k_star = np.maximum(
+        1.0, np.ceil((_demand_ratio(demand, per_slot) + 1.0) / (ns + 1)))
     lengths = np.minimum(k_star, policy.k_max_cap).astype(np.int64)
-    block_of = (np.cumsum(lengths) - 1) // _BLOCK_ENTRIES
-    cuts = [0, *(np.flatnonzero(np.diff(block_of)) + 1), len(ns)]
     round_count = policy.erlang_index_mode is ErlangIndexMode.ROUND_COUNT
-    out = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        block, seg_len = ns[lo:hi], lengths[lo:hi]
+    out = np.empty(len(ns))
+    for lo, hi in _blocks(lengths):
+        seg_len = lengths[lo:hi]
         ends = np.cumsum(seg_len)
         starts = ends - seg_len
-        seg = np.repeat(np.arange(len(block)), seg_len)
+        seg = np.repeat(np.arange(hi - lo), seg_len)
         pos = np.arange(ends[-1])
         ks = pos - starts[seg] + 1
-        slots = ks * (block[seg] + 1) - 1
-        th = demand - per_slot * slots
+        slots = ks * (ns[lo:hi][seg] + 1) - 1
+        th = demand[lo:hi][seg] - per_slot[lo:hi][seg] * slots
         m = ks if round_count else slots
         F = np.ones(len(pos))
         F[(m == 0) & (th > 0)] = 0.0
@@ -293,8 +310,8 @@ def _mean_inverse_rounds(ns: np.ndarray, r1: float, params: NetworkParams,
         pmf = np.where(pos < stop[seg], np.clip(F - prev, 0.0, None), 0.0)
         mass = np.add.reduceat(pmf, starts)
         value = np.add.reduceat(pmf / ks, starts)
-        out.append(np.clip(value / np.maximum(mass, 1.0), 0.0, 1.0))
-    return np.concatenate(out)
+        out[lo:hi] = np.clip(value / np.maximum(mass, 1.0), 0.0, 1.0)
+    return out
 
 
 def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
@@ -310,15 +327,36 @@ def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
 # cell population and delivery probability
 # ---------------------------------------------------------------------------
 
-def _users_pmf(ns: np.ndarray, xi: np.ndarray, wt: np.ndarray,
-               params: NetworkParams) -> np.ndarray:
-    """Probability of each cell population in ns: a Poisson count with mean
-    (lambda_u/lambda_b)*xi, mixed over the area nodes xi with weights wt
-    from _area_mixture.  Needs lambda_u > 0."""
-    mu = (params.lambda_u / params.lambda_b) * xi
-    logp = (ns[:, None] * np.log(mu)[None, :] - mu[None, :]
-            - special.gammaln(ns + 1.0)[:, None])
-    return np.exp(logp) @ wt
+def _users_pmf(ns: np.ndarray, row: np.ndarray, xi: np.ndarray,
+               wt: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """Probability of each cell population ns[e] at the distance of row
+    row[e] (nondecreasing in e) of the area blocks (xi, wt) from
+    _area_mixture: a Poisson count with mean (lambda_u/lambda_b)*xi, mixed
+    over that row's area nodes.
+
+    Rows with the same area nodes (every distance below about
+    2.2/sqrt(lambda_b) has the same) share one table of Poisson masses over
+    (n, xi), and their mixtures are one matrix product with it, taken about
+    _BLOCK_ENTRIES (row, n) entries at a time."""
+    if params.lambda_u == 0:
+        return (ns == 0).astype(float)
+    # a row's area nodes are fixed fractions of its largest one
+    _, first, grid_of = np.unique(xi[:, -1], return_index=True,
+                                  return_inverse=True)
+    out = np.empty(len(ns))
+    for g, grid in enumerate(xi[first]):
+        rows = np.flatnonzero(grid_of == g)
+        take = np.flatnonzero(grid_of[row] == g)
+        at = np.searchsorted(rows, row[take])
+        n = np.arange(ns[take].max() + 1)
+        mu = (params.lambda_u / params.lambda_b) * grid
+        table = np.exp(n[:, None] * np.log(mu) - mu
+                       - special.gammaln(n + 1.0)[:, None])
+        for lo, hi in _blocks(np.full(len(rows), len(n))):
+            a, b = np.searchsorted(at, (lo, hi))
+            mix = wt[rows[lo:hi]] @ table.T
+            out[take[a:b]] = mix[at[a:b] - lo, ns[take[a:b]]]
+    return out
 
 
 def users_pmf_given_r1(n: int, r1: float, params: NetworkParams,
@@ -329,41 +367,60 @@ def users_pmf_given_r1(n: int, r1: float, params: NetworkParams,
         raise ValueError("n must be an integer >= 0")
     if not r1 > 0:
         raise ValueError("r1 must be positive")
-    if params.lambda_u == 0:
-        return 1.0 if n == 0 else 0.0
-    xi, wt = _area_mixture(r1 * math.sqrt(params.lambda_b), UNIT_CELL_COEFFS)
-    p = _users_pmf(np.array([int(n)]), xi, wt, params)[0]
+    xi, wt = _area_mixture([r1 * math.sqrt(params.lambda_b)],
+                           UNIT_CELL_COEFFS)
+    p = _users_pmf(np.array([int(n)]), np.array([0]), xi, wt, params)[0]
     return float(min(max(p, 0.0), 1.0))
 
 
-@lru_cache(maxsize=100_000)
-def _per_distance(r1: float, params: NetworkParams,
-                  policy: NumericPolicy) -> float:
-    """Delivery probability at distance r1.
+@dataclass(frozen=True)
+class _Delivery:
+    """p_tr at each distance of a _per_distance call, and where n_max_cap
+    bound: there, the users-pmf mass at or above the cap."""
+    p_tr: np.ndarray
+    capped: np.ndarray
+    capped_mass: np.ndarray
+
+
+def _per_distance(r1: np.ndarray, params: NetworkParams,
+                  policy: NumericPolicy) -> _Delivery:
+    """Delivery probability at each serving distance in the array r1.
 
     Any cell population n large enough that the mean far field covers the
     demand within one round delivers immediately; only the finitely many
-    smaller n need the rounds series, so the user-count mixture is never
-    truncated, merely split at that threshold (capped at n_max_cap, which
-    an infinite demand reaches).
+    smaller n, n_ready of them, need the rounds series, so the user-count
+    mixture is never truncated, merely split at that threshold.  n_ready is
+    capped at n_max_cap, which an infinite demand reaches; where the cap
+    binds, the populations at or above it are given the E[1/K] of the
+    largest one evaluated, a lower bound because E[1/K] does not decrease
+    with n.  The (r1, n) pairs form one ragged array for _users_pmf and
+    _mean_inverse_rounds.
     """
     demand, per_slot = _link_budget(r1, params)
-    ratio = demand / per_slot
-    n_ready = (policy.n_max_cap if ratio >= policy.n_max_cap
-               else math.ceil(ratio))
+    ratio = _demand_ratio(demand, per_slot)
+    capped = ratio >= policy.n_max_cap
+    n_ready = np.ceil(np.minimum(ratio, policy.n_max_cap)).astype(np.int64)
+    p_tr = np.ones(len(r1))
+    capped_mass = np.zeros(len(r1))
+    rows = np.flatnonzero(n_ready > 0)
+    if len(rows) == 0:
+        return _Delivery(p_tr, capped, capped_mass)
 
-    if n_ready == 0:
-        return 1.0
-    if params.lambda_u == 0:
-        return delivery_prob_given_n_r1(0, r1, params, policy)
-
-    xi, wt = _area_mixture(r1 * math.sqrt(params.lambda_b), UNIT_CELL_COEFFS)
-    ns = np.arange(n_ready)
-    p_small = _users_pmf(ns, xi, wt, params)
-    t_small = _mean_inverse_rounds(ns, r1, params, policy)
-    covered = float(p_small.sum())
-    p_tr = float(np.dot(p_small, t_small)) + max(0.0, 1.0 - covered)
-    return min(max(p_tr, 0.0), 1.0)
+    counts = n_ready[rows]
+    starts = np.cumsum(counts) - counts
+    row = np.repeat(np.arange(len(rows)), counts)
+    ns = np.arange(len(row)) - starts[row]
+    xi, wt = _area_mixture(r1[rows] * math.sqrt(params.lambda_b),
+                           UNIT_CELL_COEFFS)
+    pmf = _users_pmf(ns, row, xi, wt, params)
+    inv = _mean_inverse_rounds(ns, r1[rows][row], params, policy)
+    rest = np.maximum(0.0, 1.0 - np.add.reduceat(pmf, starts))
+    # the rest delivers at once, or, past the cap, at the last E[1/K]
+    rest_rate = np.where(capped[rows], inv[starts + counts - 1], 1.0)
+    p_tr[rows] = np.clip(np.add.reduceat(pmf * inv, starts)
+                         + rest * rest_rate, 0.0, 1.0)
+    capped_mass[rows] = np.where(capped[rows], rest, 0.0)
+    return _Delivery(p_tr, capped, capped_mass)
 
 
 def delivery_prob_given_r1(r1: float, params: NetworkParams,
@@ -372,7 +429,32 @@ def delivery_prob_given_r1(r1: float, params: NetworkParams,
     population."""
     if not r1 > 0:
         raise ValueError("r1 must be positive")
-    return _per_distance(float(r1), params, policy)
+    return float(_per_distance(np.array([float(r1)]), params, policy).p_tr[0])
+
+
+def _over_distance(weight, params: NetworkParams, policy: NumericPolicy):
+    """The integral over the serving distance r1 of
+    weight(r1) * p_tr(r1) * nearest_distance_pdf(r1), and how often
+    n_max_cap bound on the way: (QuadResult, distances at which it bound,
+    largest users-pmf mass at or above it).  weight takes an array of
+    distances; None means 1.  Distances where the density is exactly 0
+    contribute exactly 0 and are not evaluated."""
+    capped, capped_mass = 0, 0.0
+
+    def integrand(r):
+        nonlocal capped, capped_mass
+        out = nearest_distance_pdf(r, params)
+        live = out > 0
+        r = r[live]
+        d = _per_distance(r, params, policy)
+        capped += int(np.count_nonzero(d.capped))
+        capped_mass = max(capped_mass, float(d.capped_mass.max(initial=0.0)))
+        out[live] *= d.p_tr if weight is None else d.p_tr * weight(r)
+        return out
+
+    res = integrate_semi_infinite(integrand, policy,
+                                  scale=0.5 / math.sqrt(params.lambda_b))
+    return res, capped, capped_mass
 
 
 @dataclass(frozen=True)
@@ -387,17 +469,21 @@ def delivery_prob(params: NetworkParams,
                   policy: NumericPolicy) -> DeliveryBreakdown:
     """Unconditional delivery probability of the typical user, integrating
     the conditional probability against the serving-distance density; also
-    reports the expected number of other users in the typical user's cell."""
+    reports the expected number of other users in the typical user's cell.
+    Logs at debug level the distance quadrature's evaluations and error
+    estimate, the number of distances at which n_max_cap bound, and the
+    largest users-pmf mass at or above it there."""
     validate(params)
-    p_tr = integrate_semi_infinite(
-        lambda r: _per_distance(r, params, policy)
-        * nearest_distance_pdf(r, params),
-        policy, scale=0.5 / math.sqrt(params.lambda_b)).value
+    res, capped, capped_mass = _over_distance(None, params, policy)
+    logger.debug("delivery_prob: distance quadrature %d evaluations, "
+                 "abs error estimate %.3g; n_max_cap bound at %d distances, "
+                 "largest users-pmf mass at or above it %.3g",
+                 res.evaluations, res.abs_error_estimate, capped, capped_mass)
     users = (params.lambda_u / params.lambda_b) \
         * _mean_cell_area(policy.quad_rel_tol)
 
     return DeliveryBreakdown(
-        p_tr=min(max(p_tr, 0.0), 1.0),
+        p_tr=min(max(res.value, 0.0), 1.0),
         p_tr_given_r1=lambda r1: delivery_prob_given_r1(r1, params, policy),
         expected_users_typical_cell=users)
 
@@ -536,15 +622,15 @@ def avg_cell_throughput(params: NetworkParams, policy: NumericPolicy) -> float:
     validate(params)
     rate_error = 0.0
 
-    def integrand(r):
+    def rates(r):
         nonlocal rate_error
-        rate, error = _mean_rate(r, params)
-        rate_error = max(rate_error, error)
-        return (rate * _per_distance(r, params, policy)
-                * nearest_distance_pdf(r, params))
+        out = np.empty(len(r))
+        for i, r1 in enumerate(r.tolist()):
+            out[i], error = _mean_rate(r1, params)
+            rate_error = max(rate_error, error)
+        return out
 
-    res = integrate_semi_infinite(integrand, policy,
-                                  scale=0.5 / math.sqrt(params.lambda_b))
+    res, _, _ = _over_distance(rates, params, policy)
     logger.debug("avg_cell_throughput: distance quadrature %d evaluations, "
                  "abs error estimate %.3g; rate lattice largest h vs 2h "
                  "error estimate %.3g bits/slot",

@@ -43,8 +43,8 @@ def test_rate_tail_identity_interference_limited():
             p = params_at(lb, 0.0, 1e-5, alpha=alpha)
             for t in (0.5, 1.0, 2.0, 4.0):
                 lhs = integrate_semi_infinite(
-                    lambda r: analytic.capacity_ccdf(t, r, p)
-                    * analytic.nearest_distance_pdf(r, p),
+                    np.vectorize(lambda r: analytic.capacity_ccdf(t, r, p)
+                                 * analytic.nearest_distance_pdf(r, p)),
                     POLICY, scale=0.5 / math.sqrt(p.lambda_b)).value
                 rhs = 1.0 / (1.0 + analytic.rho(2.0 ** t - 1.0, alpha))
                 rel = abs(lhs - rhs) / rhs

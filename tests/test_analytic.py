@@ -321,8 +321,8 @@ def test_coverage_identity_spot_check(baseline_params, policy):
     distance collapses to 1/(1+rho)."""
     t = 1.0
     lhs = integrate_semi_infinite(
-        lambda r: analytic.capacity_ccdf(t, r, baseline_params)
-        * analytic.nearest_distance_pdf(r, baseline_params),
+        np.vectorize(lambda r: analytic.capacity_ccdf(t, r, baseline_params)
+                     * analytic.nearest_distance_pdf(r, baseline_params)),
         policy, scale=0.5 / math.sqrt(baseline_params.lambda_b)).value
     rho = analytic.rho(2.0 ** t - 1.0, baseline_params.alpha)
     assert lhs == pytest.approx(1.0 / (1.0 + rho), rel=1e-8)
@@ -469,7 +469,7 @@ def test_mean_users_matches_distance_integral(lambda_b_km2, policy):
         return ratio * float(np.dot(wt, xi)) \
             * analytic.nearest_distance_pdf(r, p)
 
-    exact = integrate_semi_infinite(users_at, policy,
+    exact = integrate_semi_infinite(np.vectorize(users_at), policy,
                                     scale=0.5 / math.sqrt(p.lambda_b)).value
     got = analytic.delivery_prob(p, policy).expected_users_typical_cell
     assert got == pytest.approx(exact, rel=1e-12)
@@ -484,6 +484,78 @@ def test_delivery_prob_with_demand_beyond_float_range(policy):
         p_tr = analytic.delivery_prob_given_r1(2e5, params_at(alpha=60.0),
                                                policy)
     assert 0.0 <= p_tr <= 1.0
+
+
+def test_delivery_prob_past_the_cap(policy):
+    """Where n_max_cap binds, the populations at or above it charge no
+    faster than the largest one evaluated.  At alpha = 60, 100 km and
+    200 km away no population can charge, so p_tr is all but 0, not the
+    mass beyond the cap counted as delivering."""
+    p = params_at(alpha=60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r1 in (1e5, 2e5):
+            assert analytic.delivery_prob_given_r1(r1, p, policy) < 1e-6
+
+
+def test_delivery_at_vanishing_distance(baseline_params, policy):
+    """Below about 1e-160 m the per-slot harvest underflows to 0 along with
+    the demand: nothing is left to charge, so delivery is certain, as just
+    above the underflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r1 in (1e-150, 1e-170):
+            assert analytic.delivery_prob_given_r1(
+                r1, baseline_params, policy) == 1.0
+            assert analytic.delivery_prob_given_n_r1(
+                0, r1, baseline_params, policy) == 1.0
+        # a positive demand over an underflowed harvest is never covered
+        ratio = analytic._demand_ratio(np.array([0.0, 1e-300, 5.0]),
+                                       np.array([0.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(ratio, [0.0, math.inf, 2.5])
+
+
+@pytest.mark.parametrize("mode", list(ErlangIndexMode))
+def test_delivery_kernel_matches_scalar_view(mode, baseline_params):
+    """The array kernel over many distances at once against one
+    delivery_prob_given_r1 call per distance, from 1 mm to 200 km: past
+    about 63 km n_max_cap binds, and past about 1.6 km the serving-distance
+    density is exactly 0."""
+    policy = NumericPolicy(erlang_index_mode=mode)
+    r1 = np.logspace(-3.0, math.log10(2e5), 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = analytic._per_distance(r1, baseline_params, policy)
+        want = [analytic.delivery_prob_given_r1(r, baseline_params, policy)
+                for r in r1]
+    np.testing.assert_allclose(got.p_tr, want, rtol=0, atol=1e-15)
+    assert got.capped.any() and not got.capped.all()
+    assert (analytic.nearest_distance_pdf(r1, baseline_params) == 0.0).any()
+
+
+def test_delivery_prob_logs_cap_diagnostics_at_debug(baseline_params,
+                                                     caplog, capsys):
+    """One debug line per call reports the distance quadrature and where
+    n_max_cap bound: nowhere at the baseline point, at many distances with
+    a cap of 5 populations."""
+    pattern = (r"delivery_prob: distance quadrature (\d+) evaluations, abs "
+               r"error estimate (\S+); n_max_cap bound at (\d+) distances, "
+               r"largest users-pmf mass at or above it (\S+)")
+    found = []
+    for policy in (NumericPolicy(), NumericPolicy(n_max_cap=5)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rfhnet.analytic"):
+            analytic.delivery_prob(baseline_params, policy)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "rfhnet.analytic"]
+        assert len(lines) == 1
+        m = re.fullmatch(pattern, lines[0])
+        assert m and int(m.group(1)) > 0
+        assert 0.0 <= float(m.group(2)) < 1e-6
+        found.append((int(m.group(3)), float(m.group(4))))
+    assert found[0] == (0, 0.0)
+    assert found[1][0] > 0 and 0.0 < found[1][1] <= 1.0
+    assert capsys.readouterr().out == ""
 
 
 def test_delivery_prob_validates_params(policy):

@@ -2,9 +2,11 @@ import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfhnet import numerics
 from rfhnet.core import NumericPolicy
 from rfhnet.numerics import (FitResult, QuadratureError, QuadResult,
                              integrate_semi_infinite, poisson_cdf_upper)
@@ -17,10 +19,10 @@ POLICY = NumericPolicy()
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("f,exact,scale", [
-    (lambda r: math.exp(-r), 1.0, 1.0),
-    (lambda r: r * math.exp(-r * r / 2.0), 1.0, 1.0),
-    (lambda r: math.exp(-r * r), math.sqrt(math.pi) / 2.0, 1.0),
-    (lambda r: r ** 3 * math.exp(-r), 6.0, 3.0),
+    (np.vectorize(lambda r: math.exp(-r)), 1.0, 1.0),
+    (np.vectorize(lambda r: r * math.exp(-r * r / 2.0)), 1.0, 1.0),
+    (np.vectorize(lambda r: math.exp(-r * r)), math.sqrt(math.pi) / 2.0, 1.0),
+    (np.vectorize(lambda r: r ** 3 * math.exp(-r)), 6.0, 3.0),
 ])
 def test_quadrature_known_integrals(f, exact, scale):
     res = integrate_semi_infinite(f, POLICY, scale=scale)
@@ -32,7 +34,7 @@ def test_quadrature_known_integrals(f, exact, scale):
 def test_quadrature_scale_invariance():
     """The half-line substitution must not change the answer, only the
     node placement."""
-    f = lambda r: r * math.exp(-0.03 * r * r)
+    f = np.vectorize(lambda r: r * math.exp(-0.03 * r * r))
     a = integrate_semi_infinite(f, POLICY, scale=0.1).value
     b = integrate_semi_infinite(f, POLICY, scale=10.0).value
     assert a == pytest.approx(b, rel=1e-9)
@@ -52,15 +54,51 @@ def test_quadrature_rejects_bad_scale():
 
 def test_quadrature_divergent_raises_with_partial():
     with pytest.raises(QuadratureError) as info:
-        integrate_semi_infinite(lambda x: x * math.sin(x), POLICY)
+        integrate_semi_infinite(np.vectorize(lambda x: x * math.sin(x)),
+                                POLICY)
     assert math.isfinite(info.value.partial_value)
     assert info.value.error_estimate > 0
 
 
 def test_quad_result_frozen():
-    res = integrate_semi_infinite(lambda r: math.exp(-r), POLICY)
+    res = integrate_semi_infinite(np.vectorize(lambda r: math.exp(-r)),
+                                  POLICY)
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.value = 0.0
+
+
+def test_quadrature_batches_its_nodes():
+    """Each refinement round hands all of its nodes to f as one 1-D array,
+    so f runs a handful of times, not once per node."""
+    calls = []
+
+    def f(r):
+        calls.append(r)
+        return np.exp(-r)
+
+    res = integrate_semi_infinite(f, POLICY)
+    assert res.value == pytest.approx(1.0, rel=1e-9)
+    assert 1 <= len(calls) <= 15
+    assert all(isinstance(r, np.ndarray) and r.ndim == 1 for r in calls)
+    assert sum(len(r) for r in calls) == res.evaluations
+
+
+def test_gauss_kronrod_rule_degrees():
+    """The 21-point Kronrod rule integrates x^p over [-1, 1] exactly up to
+    p = 31, and its embedded rule is the 10-point Gauss-Legendre one, exact
+    up to p = 19."""
+    x = numerics._GK_NODES
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+    in_gauss = numerics._G_WEIGHTS > 0
+    np.testing.assert_allclose(x[in_gauss], gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(numerics._G_WEIGHTS[in_gauss], gauss_w,
+                               rtol=0, atol=1e-15)
+    for p in range(32):
+        exact = (1.0 - (-1.0) ** (p + 1)) / (p + 1)
+        assert numerics._GK_WEIGHTS @ x ** p == pytest.approx(exact, abs=1e-15)
+        if p < 20:
+            assert numerics._G_WEIGHTS @ x ** p == pytest.approx(exact,
+                                                                 abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +121,8 @@ def test_poisson_sum_equals_erlang_tail_by_quadrature():
     density over [theta, inf) by substitution and compare."""
     m, th = 4, 3.7
     tail = integrate_semi_infinite(
-        lambda u: (th + u) ** (m - 1) * math.exp(-(th + u))
-        / math.factorial(m - 1),
+        np.vectorize(lambda u: (th + u) ** (m - 1) * math.exp(-(th + u))
+                     / math.factorial(m - 1)),
         POLICY, scale=float(m)).value
     assert poisson_cdf_upper(m, th) == pytest.approx(tail, rel=1e-10)
 
