@@ -21,21 +21,24 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .core import ErlangIndexMode, NetworkParams, NumericPolicy, validate
-from .numerics import FitResult, integrate_semi_infinite, poisson_cdf_upper
+from .numerics import integrate_semi_infinite, poisson_cdf_upper
 
 # Size-biased normalized Voronoi cell area: Gamma(shape 4.5, rate 3.5).
 # The same 3.5 constant parameterizes the active-station thinning below.
 CELL_AREA_SHAPE = 4.5
 CELL_AREA_RATE = 3.5
+# that Gamma density's normalizer, rate^shape / Gamma(shape)
+_AREA_NORM = math.exp(CELL_AREA_SHAPE * math.log(CELL_AREA_RATE)
+                      - math.lgamma(CELL_AREA_SHAPE))
 
 # Nearest-station distance profile of a unit-area cell, c1*u^c2*exp(-c3*u^c4).
-# These coefficients are what fit_conditional_distance_pdf reproduces.
+# These coefficients are what rfhnet.fit reproduces.
 UNIT_CELL_COEFFS = (6.029, 1.0, 3.891, 2.7)
 
 _MIX_NODES = 192
@@ -61,7 +64,7 @@ _EXP_ZERO = 746.0
 
 logger = logging.getLogger(__name__)
 
-Coeffs = Union[FitResult, Sequence[float], None]
+Coeffs = Optional[Sequence[float]]
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +86,9 @@ def cell_area_pdf(x):
     """Density of the normalized area of the cell containing a random user
     (size-biased), Gamma(4.5, rate 3.5)."""
     xs = np.asarray(x, dtype=float)
-    norm = math.exp(CELL_AREA_SHAPE * math.log(CELL_AREA_RATE)
-                    - math.lgamma(CELL_AREA_SHAPE))
-    out = np.where(xs > 0,
-                   norm * np.power(np.maximum(xs, 1e-300), CELL_AREA_SHAPE - 1.0)
-                   * np.exp(-CELL_AREA_RATE * np.maximum(xs, 0.0)),
-                   0.0)
+    pos = np.maximum(xs, 1e-300)
+    out = np.where(xs > 0, _AREA_NORM * np.power(pos, CELL_AREA_SHAPE - 1.0)
+                   * np.exp(-CELL_AREA_RATE * pos), 0.0)
     return float(out) if np.isscalar(x) else out
 
 
@@ -106,8 +106,6 @@ def conditional_distance_pdf(r1_norm, coeffs: Coeffs = None):
 def _as_coeffs(coeffs: Coeffs) -> tuple:
     if coeffs is None:
         return UNIT_CELL_COEFFS
-    if isinstance(coeffs, FitResult):
-        coeffs = coeffs.coefficients
     c = tuple(float(v) for v in coeffs)
     if len(c) != 4:
         raise ValueError("expected 4 shape coefficients")
@@ -120,33 +118,51 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _area_mixture(s, coeffs: tuple):
-    """Quadrature nodes and normalized weights of the cell-area distribution
-    seen from normalized serving distance s = r1*sqrt(lambda_b), as arrays
-    (xi, wt) of shape s.shape + (_MIX_NODES,): one row per distance.
-
-    The weight of area xi is proportional to the scaled unit-cell distance
-    profile g(s/sqrt(xi))/sqrt(xi) times the size-biased area density; the
-    normalization makes the weights a proper conditional distribution, so
-    user-count mixtures built on top of them sum to one.
-    """
-    c1, c2, c3, c4 = coeffs
+def _area_block(s, coeffs: tuple):
+    """The cell-area mixture seen from normalized serving distance
+    s = r1*sqrt(lambda_b), unnormalized: arrays (xi, base, logw) of shape
+    s.shape + (_MIX_NODES,), the area nodes, their Gauss-Legendre weights,
+    and the log of the scaled unit-cell profile g(s/sqrt(xi))/sqrt(xi) times
+    the area density, short of the factor c1 * s^c2 * _AREA_NORM."""
+    _, c2, c3, c4 = coeffs
     s = np.asarray(s, dtype=float)[..., None]
     xi_hi = np.maximum(15.0, 3.0 * s * s)
     x, w = _gauss_legendre(_MIX_NODES)
     xi = 0.5 * (x + 1.0) * xi_hi
     base = 0.5 * xi_hi * w
     log_xi = np.log(xi)
+    # xi_hi grows like s^2, so u stays below about 100 and logw is finite
     u = s / np.sqrt(xi)
     logw = ((CELL_AREA_SHAPE - 1.0) * log_xi - CELL_AREA_RATE * xi
             - 0.5 * (c2 + 1.0) * log_xi - c3 * np.power(u, c4))
-    # xi_hi grows like s^2, so u stays below about 100 and logw is finite
+    return xi, base, logw
+
+
+def _area_mixture(s, coeffs: tuple):
+    """The area nodes of _area_block and their weights normalized per
+    distance, a proper conditional distribution, so that user-count
+    mixtures built on them sum to one."""
+    xi, base, logw = _area_block(s, coeffs)
     wt = base * np.exp(logw - logw.max(axis=-1, keepdims=True))
     wt /= wt.sum(axis=-1, keepdims=True)
     return xi, wt
 
 
-def _unit_distance_pdf(s):
+def reconstructed_distance_pdf(r_norm, coefficients: Coeffs):
+    """Serving-distance density (unit station density) on normalized
+    distances r_norm implied by the unit-cell profile at `coefficients`,
+    mixed over the cell area by _area_block.  A scalar gives a float."""
+    c1, c2, _, _ = coeffs = _as_coeffs(coefficients)
+    s = np.asarray(r_norm, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("r_norm must be non-negative")
+    _, base, logw = _area_block(s, coeffs)
+    out = (c1 * np.power(s, c2) * _AREA_NORM
+           * (base * np.exp(logw)).sum(axis=-1))
+    return float(out) if np.isscalar(r_norm) else out
+
+
+def unit_distance_pdf(s):
     """Serving-distance density at unit station density."""
     return 2.0 * math.pi * s * np.exp(-math.pi * s * s)
 
@@ -159,7 +175,7 @@ def _mean_cell_area(rel_tol: float) -> float:
     many other users on average."""
     def mean_area(s):
         xi, wt = _area_mixture(s, UNIT_CELL_COEFFS)
-        return (wt * xi).sum(axis=-1) * _unit_distance_pdf(s)
+        return (wt * xi).sum(axis=-1) * unit_distance_pdf(s)
 
     return integrate_semi_infinite(
         mean_area, NumericPolicy(quad_rel_tol=rel_tol), scale=0.5).value
@@ -223,7 +239,6 @@ def energy_ready_prob(k: int, n: int, r1: float, params: NetworkParams,
     degenerate zero-slot case (k=1 with an empty cell, slot-count mode) has
     nothing accumulated and collapses to the 0/1 indicator of theta <= 0.
     """
-    _check_kn(k, n, r1)
     th = theta(k, n, r1, params)
     if policy.erlang_index_mode is ErlangIndexMode.SLOT_COUNT:
         m = k * (n + 1) - 1
@@ -262,21 +277,19 @@ def _blocks(sizes: np.ndarray):
 
 
 def _mean_inverse_rounds(ns: np.ndarray, r1, params: NetworkParams,
-                         policy: NumericPolicy) -> np.ndarray:
-    """E[1/K] for each cell population in ns at serving distance r1 (a
-    float, or an array with one distance per population), where K is the
-    first round whose scheduled slot finds the store full.
+                         policy: NumericPolicy):
+    """(E[1/K], cut) for each cell population in ns at serving distance r1
+    (a float, or one distance per population), K being the first round
+    whose scheduled slot finds the store full.
 
-    Each (r1, n) readiness curve over rounds k = 1..k_top is one segment of
-    a ragged array, so a block of populations takes one gammaincc call.  A
-    segment ends exactly at k_star, the first round whose mean far field
-    alone covers the demand (readiness 1, no later mass), is hard capped at
-    k_max_cap, and is cut early at the first readiness within
-    series_tail_eps of 1.  Truncated tail mass is simply dropped; it
-    contributes at most its own mass since 1/k <= 1.  A clamped
-    distribution exceeding unit mass is renormalized.  Whole segments are
-    taken about _BLOCK_ENTRIES entries at a time, because at large r1
-    every segment runs to k_max_cap.
+    Each (r1, n) readiness curve F over rounds is one segment of a ragged
+    array, so a block of populations takes one gammaincc call.  A segment
+    ends at k_star, the first round whose mean far field alone covers the
+    demand (F = 1), or at the first F within series_tail_eps of 1, or at
+    k_max_cap; cut is the readiness mass 1 - F the cap left out where it
+    came first, else 0.  Dropped mass contributes at most itself, as
+    1/k <= 1; a clamped pmf above unit mass is renormalized.  Blocks take
+    whole segments, about _BLOCK_ENTRIES entries at a time.
     """
     ns = np.asarray(ns, dtype=np.int64)
     demand, per_slot = _link_budget(np.broadcast_to(r1, ns.shape), params)
@@ -285,6 +298,7 @@ def _mean_inverse_rounds(ns: np.ndarray, r1, params: NetworkParams,
     lengths = np.minimum(k_star, policy.k_max_cap).astype(np.int64)
     round_count = policy.erlang_index_mode is ErlangIndexMode.ROUND_COUNT
     out = np.empty(len(ns))
+    cut = np.zeros(len(ns))
     for lo, hi in _blocks(lengths):
         seg_len = lengths[lo:hi]
         ends = np.cumsum(seg_len)
@@ -302,8 +316,9 @@ def _mean_inverse_rounds(ns: np.ndarray, r1, params: NetworkParams,
 
         # rounds after each segment's first readiness within
         # series_tail_eps of 1 are dropped; len(pos) marks "none"
-        done = np.where(F >= 1.0 - policy.series_tail_eps, pos, len(pos))
-        stop = np.minimum(np.minimum.reduceat(done, starts) + 1, ends)
+        done = np.minimum.reduceat(
+            np.where(F >= 1.0 - policy.series_tail_eps, pos, len(pos)), starts)
+        stop = np.minimum(done + 1, ends)
         # readiness one round earlier, 0 before each segment's first round
         prev = np.concatenate(([0.0], F[:-1]))
         prev[starts] = 0.0
@@ -311,7 +326,9 @@ def _mean_inverse_rounds(ns: np.ndarray, r1, params: NetworkParams,
         mass = np.add.reduceat(pmf, starts)
         value = np.add.reduceat(pmf / ks, starts)
         out[lo:hi] = np.clip(value / np.maximum(mass, 1.0), 0.0, 1.0)
-    return out
+        cut[lo:hi] = np.where((k_star[lo:hi] > policy.k_max_cap)
+                              & (done >= ends), 1.0 - F[ends - 1], 0.0)
+    return out, cut
 
 
 def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
@@ -320,7 +337,7 @@ def delivery_prob_given_n_r1(n: int, r1: float, params: NetworkParams,
     other users in the cell at serving distance r1: a user needing K rounds
     to charge succeeds once per K, so this is E[1/K]."""
     _check_kn(1, n, r1)
-    return float(_mean_inverse_rounds(np.array([n]), r1, params, policy)[0])
+    return float(_mean_inverse_rounds(np.array([n]), r1, params, policy)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +380,21 @@ def users_pmf_given_r1(n: int, r1: float, params: NetworkParams,
                        policy: NumericPolicy) -> float:
     """Probability of n other users sharing the cell, given serving
     distance r1: a Poisson count mixed over the conditional cell area."""
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be an integer >= 0")
-    if not r1 > 0:
-        raise ValueError("r1 must be positive")
+    _check_kn(1, n, r1)
     xi, wt = _area_mixture([r1 * math.sqrt(params.lambda_b)],
                            UNIT_CELL_COEFFS)
     p = _users_pmf(np.array([int(n)]), np.array([0]), xi, wt, params)[0]
     return float(min(max(p, 0.0), 1.0))
 
 
-@dataclass(frozen=True)
-class _Delivery:
-    """p_tr at each distance of a _per_distance call, and where n_max_cap
-    bound: there, the users-pmf mass at or above the cap."""
+class _Delivery(NamedTuple):
+    """p_tr at each distance; where n_max_cap bound, and the users-pmf mass
+    at or above it; the users-pmf-weighted readiness mass k_max_cap cut
+    off, positive exactly where that cap bound."""
     p_tr: np.ndarray
     capped: np.ndarray
     capped_mass: np.ndarray
+    k_capped_mass: np.ndarray
 
 
 def _per_distance(r1: np.ndarray, params: NetworkParams,
@@ -387,24 +402,23 @@ def _per_distance(r1: np.ndarray, params: NetworkParams,
     """Delivery probability at each serving distance in the array r1.
 
     Any cell population n large enough that the mean far field covers the
-    demand within one round delivers immediately; only the finitely many
-    smaller n, n_ready of them, need the rounds series, so the user-count
-    mixture is never truncated, merely split at that threshold.  n_ready is
-    capped at n_max_cap, which an infinite demand reaches; where the cap
-    binds, the populations at or above it are given the E[1/K] of the
-    largest one evaluated, a lower bound because E[1/K] does not decrease
-    with n.  The (r1, n) pairs form one ragged array for _users_pmf and
-    _mean_inverse_rounds.
+    demand within one round delivers immediately; only the n_ready smaller
+    ones need the rounds series, so the user-count mixture is split, not
+    truncated.  n_ready is capped at n_max_cap, which an infinite demand
+    reaches; there the populations at or above the cap share the E[1/K] and
+    the k_max_cap cut of the largest one evaluated, a lower bound because
+    E[1/K] does not decrease with n.  The (r1, n) pairs form one ragged
+    array for _users_pmf and _mean_inverse_rounds.
     """
     demand, per_slot = _link_budget(r1, params)
     ratio = _demand_ratio(demand, per_slot)
     capped = ratio >= policy.n_max_cap
     n_ready = np.ceil(np.minimum(ratio, policy.n_max_cap)).astype(np.int64)
     p_tr = np.ones(len(r1))
-    capped_mass = np.zeros(len(r1))
+    capped_mass, k_capped_mass = np.zeros((2, len(r1)))
     rows = np.flatnonzero(n_ready > 0)
     if len(rows) == 0:
-        return _Delivery(p_tr, capped, capped_mass)
+        return _Delivery(p_tr, capped, capped_mass, k_capped_mass)
 
     counts = n_ready[rows]
     starts = np.cumsum(counts) - counts
@@ -413,14 +427,17 @@ def _per_distance(r1: np.ndarray, params: NetworkParams,
     xi, wt = _area_mixture(r1[rows] * math.sqrt(params.lambda_b),
                            UNIT_CELL_COEFFS)
     pmf = _users_pmf(ns, row, xi, wt, params)
-    inv = _mean_inverse_rounds(ns, r1[rows][row], params, policy)
+    inv, cut = _mean_inverse_rounds(ns, r1[rows][row], params, policy)
     rest = np.maximum(0.0, 1.0 - np.add.reduceat(pmf, starts))
     # the rest delivers at once, or, past the cap, at the last E[1/K]
-    rest_rate = np.where(capped[rows], inv[starts + counts - 1], 1.0)
+    last = starts + counts - 1
+    rest_rate = np.where(capped[rows], inv[last], 1.0)
     p_tr[rows] = np.clip(np.add.reduceat(pmf * inv, starts)
                          + rest * rest_rate, 0.0, 1.0)
     capped_mass[rows] = np.where(capped[rows], rest, 0.0)
-    return _Delivery(p_tr, capped, capped_mass)
+    k_capped_mass[rows] = (np.add.reduceat(pmf * cut, starts)
+                           + np.where(capped[rows], rest * cut[last], 0.0))
+    return _Delivery(p_tr, capped, capped_mass, k_capped_mass)
 
 
 def delivery_prob_given_r1(r1: float, params: NetworkParams,
@@ -434,34 +451,30 @@ def delivery_prob_given_r1(r1: float, params: NetworkParams,
 
 def _over_distance(weight, params: NetworkParams, policy: NumericPolicy):
     """The integral over the serving distance r1 of
-    weight(r1) * p_tr(r1) * nearest_distance_pdf(r1), and how often
-    n_max_cap bound on the way: (QuadResult, distances at which it bound,
-    largest users-pmf mass at or above it).  weight takes an array of
-    distances; None means 1.  Distances where the density is exactly 0
+    weight(r1) * p_tr(r1) * nearest_distance_pdf(r1), and the _Delivery
+    record of every distance evaluated on the way.  weight takes an array
+    of distances; None means 1.  Distances where the density is exactly 0
     contribute exactly 0 and are not evaluated."""
-    capped, capped_mass = 0, 0.0
+    parts = []
 
     def integrand(r):
-        nonlocal capped, capped_mass
         out = nearest_distance_pdf(r, params)
         live = out > 0
         r = r[live]
         d = _per_distance(r, params, policy)
-        capped += int(np.count_nonzero(d.capped))
-        capped_mass = max(capped_mass, float(d.capped_mass.max(initial=0.0)))
+        parts.append(d)
         out[live] *= d.p_tr if weight is None else d.p_tr * weight(r)
         return out
 
     res = integrate_semi_infinite(integrand, policy,
                                   scale=0.5 / math.sqrt(params.lambda_b))
-    return res, capped, capped_mass
+    return res, _Delivery(*map(np.concatenate, zip(*parts)))
 
 
 @dataclass(frozen=True)
 class DeliveryBreakdown:
     """p_tr plus the pieces sweeps and plots want alongside it."""
     p_tr: float
-    p_tr_given_r1: Callable[[float], float]
     expected_users_typical_cell: float
 
 
@@ -471,21 +484,23 @@ def delivery_prob(params: NetworkParams,
     the conditional probability against the serving-distance density; also
     reports the expected number of other users in the typical user's cell.
     Logs at debug level the distance quadrature's evaluations and error
-    estimate, the number of distances at which n_max_cap bound, and the
-    largest users-pmf mass at or above it there."""
+    estimate and, for n_max_cap and k_max_cap, the number of distances at
+    which each bound and the largest probability mass it left out there."""
     validate(params)
-    res, capped, capped_mass = _over_distance(None, params, policy)
+    res, d = _over_distance(None, params, policy)
     logger.debug("delivery_prob: distance quadrature %d evaluations, "
                  "abs error estimate %.3g; n_max_cap bound at %d distances, "
-                 "largest users-pmf mass at or above it %.3g",
-                 res.evaluations, res.abs_error_estimate, capped, capped_mass)
+                 "largest users-pmf mass at or above it %.3g; k_max_cap bound "
+                 "at %d distances, largest readiness mass it cut off %.3g",
+                 res.evaluations, res.abs_error_estimate,
+                 np.count_nonzero(d.capped), d.capped_mass.max(initial=0.0),
+                 np.count_nonzero(d.k_capped_mass),
+                 d.k_capped_mass.max(initial=0.0))
     users = (params.lambda_u / params.lambda_b) \
         * _mean_cell_area(policy.quad_rel_tol)
 
-    return DeliveryBreakdown(
-        p_tr=min(max(res.value, 0.0), 1.0),
-        p_tr_given_r1=lambda r1: delivery_prob_given_r1(r1, params, policy),
-        expected_users_typical_cell=users)
+    return DeliveryBreakdown(p_tr=min(max(res.value, 0.0), 1.0),
+                             expected_users_typical_cell=users)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +645,7 @@ def avg_cell_throughput(params: NetworkParams, policy: NumericPolicy) -> float:
             rate_error = max(rate_error, error)
         return out
 
-    res, _, _ = _over_distance(rates, params, policy)
+    res, _ = _over_distance(rates, params, policy)
     logger.debug("avg_cell_throughput: distance quadrature %d evaluations, "
                  "abs error estimate %.3g; rate lattice largest h vs 2h "
                  "error estimate %.3g bits/slot",
@@ -718,58 +733,3 @@ def sustainable_ratio(lambda_b: float, params_template: NetworkParams,
     raise RuntimeError(
         "throughput did not reach (1 - eps_sat) of its plateau within the "
         f"swept ratio bound {grid[-1]}")
-
-
-# ---------------------------------------------------------------------------
-# distance-profile fit
-# ---------------------------------------------------------------------------
-
-_FIT_R_GRID = np.linspace(0.025, 2.0, 80)
-_FIT_XI_NODES = 160
-_FIT_XI_HI = 14.0
-
-
-def reconstructed_distance_pdf(r_norm, coefficients):
-    """Serving-distance density (unit station density) implied by a
-    unit-cell profile, evaluated on normalized distances r_norm: the
-    profile at the given coefficients, scaled to each cell area and mixed
-    over the area distribution.  A scalar r_norm gives a float."""
-    x, w = _gauss_legendre(_FIT_XI_NODES)
-    xi = 0.5 * (x + 1.0) * _FIT_XI_HI
-    root = np.sqrt(xi)
-    g = conditional_distance_pdf(np.asarray(r_norm, dtype=float)[..., None]
-                                 / root, coefficients)
-    out = (g / root * cell_area_pdf(xi)) @ (0.5 * _FIT_XI_HI * w)
-    return float(out) if np.isscalar(r_norm) else out
-
-
-def fit_conditional_distance_pdf(policy: NumericPolicy) -> FitResult:
-    """Recover the unit-cell distance profile coefficients by bounded least
-    squares.
-
-    Fits (c1, c3, c4) with c2 pinned at 1 so that the area-mixture of the
-    profile reproduces the exact serving-distance density on a normalized
-    grid (unit station density).  The residual is the sum of squares and
-    the iteration count the number of residual evaluations, not counting
-    those of the finite-difference Jacobian.  A post-hoc check rejects a
-    fit whose profile is badly non-normalized.
-    """
-    target = _unit_distance_pdf(_FIT_R_GRID)
-
-    def residual(v):
-        c1, c3, c4 = v
-        return reconstructed_distance_pdf(_FIT_R_GRID,
-                                          (c1, 1.0, c3, c4)) - target
-
-    fit = optimize.least_squares(residual, x0=(4.0, 3.0, 2.0),
-                                 bounds=((0.5, 0.5, 1.2), (30.0, 30.0, 6.0)))
-    c1, c3, c4 = (float(v) for v in fit.x)
-    coeffs = (c1, 1.0, c3, c4)
-
-    norm = integrate_semi_infinite(
-        lambda u: conditional_distance_pdf(u, coeffs), policy, scale=0.5)
-    if abs(norm.value - 1.0) > 0.05:
-        raise RuntimeError(
-            f"fitted profile integrates to {norm.value:.4f}, expected ~1")
-    return FitResult(coefficients=coeffs, residual=2.0 * float(fit.cost),
-                     iterations=int(fit.nfev))

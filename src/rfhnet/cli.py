@@ -276,15 +276,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.config:
-        _, policy, _, _ = load_config(args.config, {})
-    else:
-        policy = NumericPolicy()
-    fit = analytic.fit_conditional_distance_pdf(policy)
+    # imported here so that scipy.optimize, which only the fit needs, does
+    # not slow the start-up of every other command (by about a fifth)
+    from .fit import fit_conditional_distance_pdf, profile_table
+    policy = (load_config(args.config, {})[1] if args.config
+              else NumericPolicy())
+    fit = fit_conditional_distance_pdf(policy)
     c1, c2, c3, c4 = fit.coefficients
-    grid = analytic._FIT_R_GRID
-    target = analytic._unit_distance_pdf(grid)
-    fitted = analytic.reconstructed_distance_pdf(grid, fit.coefficients)
+    grid, target, fitted = profile_table(fit.coefficients)
     gap = float(np.max(np.abs(fitted - target)))
     peak = float(np.max(target))
     with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -48,10 +48,9 @@ class NetworkParams:
     p_s           per-station transmit power [W]
     alpha         path-loss exponent, must exceed 2
     a_eff         RF-to-DC conversion efficiency, in (0, 1]
-    e_th          energy required to receive one downlink slot [J]
+    e_th          energy required to receive one downlink slot [J]; a slot
+                  lasts 1 s, so it harvests a_eff times the received power
     sigma2        noise power [W]
-    slot_seconds  slot duration [s]; the model is normalized to unit slots,
-                  so validation rejects anything other than 1.0
     """
 
     lambda_b: float
@@ -61,7 +60,6 @@ class NetworkParams:
     a_eff: float
     e_th: float
     sigma2: float = 0.0
-    slot_seconds: float = 1.0
 
 
 def validate(params: NetworkParams) -> NetworkParams:
@@ -84,7 +82,6 @@ def validate(params: NetworkParams) -> NetworkParams:
          "e_th must be positive and finite"),
         (params.sigma2 >= 0 and math.isfinite(params.sigma2),
          "sigma2 must be non-negative and finite"),
-        (params.slot_seconds == 1.0, "slot_seconds must equal 1.0"),
     )
     for ok, message in checks:
         if not ok:

@@ -296,7 +296,6 @@ def run_replication(field: FieldRealization, params: NetworkParams,
         trace["scheduled"] = []
         trace["ready"] = []
 
-    a_slot = params.a_eff * params.slot_seconds
     for t in range(config.n_slots):
         rng.standard_exponential(out=received)
         received *= near_power                      # (U, K) near-link powers
@@ -324,7 +323,7 @@ def run_replication(field: FieldRealization, params: NetworkParams,
 
         harvesting = np.ones(n_users, dtype=bool)
         harvesting[heads[ready]] = False
-        stored[harvesting] += a_slot * row_power[harvesting]
+        stored[harvesting] += params.a_eff * row_power[harvesting]
         stored[heads[ready]] = 0.0
 
         if trace is not None:

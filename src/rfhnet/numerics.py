@@ -1,5 +1,4 @@
-"""Numerical kernels: half-line quadrature, Poisson tail sums, and the
-record a least-squares fit returns.
+"""Numerical kernels: half-line quadrature and Poisson tail sums.
 
 These are pinned down by contracts the rest of the package relies on (see
 tests).  Nothing in here knows about the network model.
@@ -169,16 +168,3 @@ def poisson_cdf_upper(m: int, theta: float) -> float:
         return 1.0
     return float(special.gammaincc(m, theta))
 
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of a least-squares fit.
-
-    coefficients  the best point found (tuple, one entry per parameter)
-    residual      sum of squared residuals at that point
-    iterations    objective evaluations spent
-    """
-
-    coefficients: tuple
-    residual: float
-    iterations: int

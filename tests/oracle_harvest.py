@@ -19,7 +19,7 @@ def mc_ready(params, n, k, r1, n_draws=100_000, seed=1, r_split=2000.0,
     Returns (estimate, binomial standard error).
     """
     m = k * (n + 1) - 1
-    thresh = params.e_th / (params.a_eff * params.p_s * params.slot_seconds)
+    thresh = params.e_th / (params.a_eff * params.p_s)
     if m == 0:
         return (1.0 if thresh <= 0 else 0.0), 0.0
     lam, alpha = params.lambda_b, params.alpha

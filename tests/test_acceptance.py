@@ -15,6 +15,7 @@ import pytest
 from oracle_harvest import mc_ready
 from rfhnet import analytic
 from rfhnet.core import (NetworkParams, NumericPolicy, per_km2_to_per_m2)
+from rfhnet.fit import fit_conditional_distance_pdf, profile_table
 from rfhnet.mcsim import SimConfig, estimate
 from rfhnet.numerics import integrate_semi_infinite
 
@@ -142,15 +143,13 @@ REFERENCE_COEFFS = (6.029, 1.0, 3.891, 2.7)
 
 
 def test_profile_fit_recovers_reference():
-    fit = analytic.fit_conditional_distance_pdf(POLICY)
+    fit = fit_conditional_distance_pdf(POLICY)
     c1, c2, c3, c4 = fit.coefficients
     assert c2 == 1.0
     assert abs(c1 - REFERENCE_COEFFS[0]) / REFERENCE_COEFFS[0] <= 0.10
     assert abs(c3 - REFERENCE_COEFFS[2]) / REFERENCE_COEFFS[2] <= 0.10
     assert abs(c4 - REFERENCE_COEFFS[3]) / REFERENCE_COEFFS[3] <= 0.10
-    grid = analytic._FIT_R_GRID
-    target = analytic._unit_distance_pdf(grid)
-    rec = analytic.reconstructed_distance_pdf(grid, fit)
+    _, target, rec = profile_table(fit.coefficients)
     gap = float(np.max(np.abs(rec - target)))
     assert gap <= 0.05 * float(target.max())
     print(f"\nPASS profile fit: c=({c1:.3f}, {c2:.0f}, {c3:.3f}, {c4:.3f}), "

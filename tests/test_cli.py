@@ -1,7 +1,11 @@
 import dataclasses
 import io
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +89,7 @@ def test_load_config_converts_units_and_defaults(tmp_path):
     params, policy, sim, sweep = load_config(path)
     assert params.lambda_b == per_km2_to_per_m2(100.0)
     assert params.lambda_u == per_km2_to_per_m2(450.0)
-    assert params.sigma2 == 0.0 and params.slot_seconds == 1.0
+    assert params.sigma2 == 0.0
     assert policy == NumericPolicy()
     assert sim.n_slots == 600 and sim.edge_mode == "torus"
     assert sweep is None
@@ -192,15 +196,14 @@ def test_resolved_lines_round_trip(tmp_path):
 
 
 def test_resolved_lines_round_trip_every_key(tmp_path):
-    """A config setting every key away from its default (slot_seconds has
-    one valid value) survives resolved_lines and loads back equal."""
+    """A config setting every key away from its default survives
+    resolved_lines and loads back equal."""
     text = ("network.lambda_u_per_km2 = 300\n"
             "network.p_s = 2.5\n"
             "network.alpha = 3.5\n"
             "network.a_eff = 0.75\n"
             "network.e_th = 3e-5\n"
             "network.sigma2 = 1e-12\n"
-            "network.slot_seconds = 1\n"
             "policy.quad_rel_tol = 1e-6\n"
             "policy.series_tail_eps = 1e-7\n"
             "policy.n_max_cap = 900\n"
@@ -245,7 +248,7 @@ def test_shipped_preamble_matches_committed_results():
     committed = [line[len("# cfg "):].rstrip("\n") for line in open(
         REPO / "results" / "delivery_vs_bs_density.csv", encoding="utf-8")
         if line.startswith("# cfg ")]
-    assert len(committed) == 28
+    assert len(committed) == 27
     assert resolved_lines(*cfg) == committed
 
 
@@ -536,6 +539,22 @@ def test_fit_command_writes_profile(tmp_path, capsys):
     # grid mass is ~1 (the grid misses only ~0.2% below r=0.025)
     assert trapezoid(target, r) == pytest.approx(1.0, abs=0.01)
     assert np.max(np.abs(fitted - target)) <= 0.05 * target.max()
+
+
+def test_cli_import_leaves_out_the_optimizer():
+    """A fresh `import rfhnet.cli` loads the model and the simulator, but
+    not scipy.optimize, which only `rfhnet fit` needs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import json, sys, rfhnet.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(json.loads(out))
+    assert "scipy.optimize" not in loaded
+    for name in ("analytic", "config", "numerics", "mcsim"):
+        assert f"rfhnet.{name}" in loaded, name
 
 
 def test_fit_command_gap_threshold(tmp_path, capsys):

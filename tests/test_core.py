@@ -39,7 +39,6 @@ def test_validate_allows_zero_user_density(baseline_params):
     ("e_th", 0.0, "e_th"),
     ("e_th", -1e-6, "e_th"),
     ("sigma2", -1e-12, "sigma2"),
-    ("slot_seconds", 2.0, "slot_seconds"),
 ])
 def test_validate_rejects(baseline_params, field, value, message):
     bad = dataclasses.replace(baseline_params, **{field: value})

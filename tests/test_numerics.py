@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from rfhnet import numerics
 from rfhnet.core import NumericPolicy
-from rfhnet.numerics import (FitResult, QuadratureError, QuadResult,
+from rfhnet.fit import FitResult
+from rfhnet.numerics import (QuadratureError, QuadResult,
                              integrate_semi_infinite, poisson_cdf_upper)
 
 POLICY = NumericPolicy()
