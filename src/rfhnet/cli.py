@@ -17,7 +17,6 @@ import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -26,8 +25,7 @@ import numpy as np
 from . import analytic
 from .config import (METRICS, PER_KM2_KEYS, SWEEPABLE, ConfigError,
                      SweepSpec, load_config, resolved_lines, to_field)
-from .core import NetworkParams, NumericPolicy
-from .mcsim import SimConfig, estimate
+from .core import NetworkParams, NumericPolicy, SimConfig
 
 _DEFAULT_POINT_METRICS = ("p_tr", "t_avg", "t_total", "mean_users")
 
@@ -125,6 +123,7 @@ def _run_point(task) -> List[SweepRecord]:
 
     sim_wanted = tuple(m for m in metrics if "simulate" in _modes_for(m, mode))
     if sim_wanted:
+        from .mcsim import estimate   # see cmd_simulate
         cfg = dataclasses.replace(sim_cfg,
                                   seed=_point_seed(sim_cfg.seed, index))
 
@@ -162,6 +161,9 @@ def run_sweep(params: NetworkParams, policy: NumericPolicy,
               sweep.metrics, sweep.mode) for i, v in enumerate(sweep.values)]
     workers = _worker_count(len(tasks))
     if workers > 1:
+        # imported here: the process pool machinery is a start-up cost that
+        # a serial sweep does not need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_point, tasks))
     else:
@@ -246,6 +248,9 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported where it runs, so that the closed-form commands do not load
+    # the simulator and scipy.spatial
+    from .mcsim import estimate
     params, _, sim_cfg, _ = load_config(args.config, _overrides_from(args))
     outcome = estimate(params, sim_cfg)
     for m, (mean, err) in _SIM_ATTRS.items():

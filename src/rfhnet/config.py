@@ -9,9 +9,10 @@ section prefix:
     sim.*       slot-level simulator knobs
     sweep.*     optional parameter sweep (absent -> single-point runs)
 
-The keys of a section are the fields of its dataclass (NetworkParams,
-NumericPolicy, SimConfig, SweepSpec), parsed by their annotated types; the
-densities lambda_b/lambda_u appear as lambda_b_per_km2/lambda_u_per_km2.
+The keys of a section are the fields of its dataclass, parsed by their
+annotated types: NetworkParams, NumericPolicy and SimConfig live in core,
+SweepSpec here.  The densities lambda_b/lambda_u appear as
+lambda_b_per_km2/lambda_u_per_km2.
 A field without a default is a required key.  Unknown keys, duplicate keys,
 and malformed values are rejected with the offending line number.  When `sweep.parameter` names a network field, that
 field must NOT also appear in the network section; the template is filled
@@ -25,9 +26,8 @@ import typing
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .core import (NetworkParams, NumericPolicy, per_km2_to_per_m2,
-                   per_m2_to_per_km2, validate)
-from .mcsim import SimConfig
+from .core import (NetworkParams, NumericPolicy, SimConfig,
+                   per_km2_to_per_m2, per_m2_to_per_km2, validate)
 
 SWEEPABLE = ("lambda_b", "lambda_u", "e_th")
 METRICS = ("p_tr", "t_avg", "t_total", "mean_users", "sustainable_ratio")

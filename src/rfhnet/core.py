@@ -1,10 +1,12 @@
 """Shared domain types for the harvesting-downlink model.
 
-Everything downstream (closed-form layer, simulator, CLI) passes these two
-objects around.  Internally all quantities are strict SI: densities in m^-2,
-energies in joules, powers in watts, distances in meters.  Config files speak
-km^-2 for densities; the conversion helpers below are the single crossing
-point between the two unit systems.
+Everything downstream (closed-form layer, simulator, CLI) passes the
+NetworkParams and NumericPolicy objects around.  SimConfig holds the
+simulator's knobs; it lives here rather than in mcsim so that reading a
+config does not import the simulator.  Internally all quantities are strict
+SI: densities in m^-2, energies in joules, powers in watts, distances in
+meters.  Config files speak km^-2 for densities; the conversion helpers
+below are the single crossing point between the two unit systems.
 """
 from __future__ import annotations
 
@@ -127,3 +129,62 @@ class NumericPolicy:
         if not (self.plateau_multiple > 0
                 and math.isfinite(self.plateau_multiple)):
             raise ValueError("plateau_multiple must be positive and finite")
+
+
+EDGE_TORUS = "torus"
+EDGE_GUARD = "guard"
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Simulator knobs.
+
+    region_side      deployment square side [m]
+    n_slots          scheduled slots per replication
+    n_replications   independent field draws
+    seed             non-negative master seed; replication streams are
+                     spawned from it
+    edge_mode        "torus" wraps distances; "guard" pads the sampling
+                     window by guard_width on each side and restricts
+                     statistics to a centered sub-square
+    guard_width      pad width for guard mode [m]
+    measure_ring     side fraction of the central statistics square (guard
+                     mode only; torus statistics use every user)
+    force_all_bs_transmit  when True every station transmits every slot,
+                     matching the interference field the closed forms
+                     assume; when False empty cells stay silent
+    warmup_rounds    initial scheduling rounds of each cell excluded from
+                     statistics
+    """
+
+    region_side: float = 1000.0
+    n_slots: int = 600
+    n_replications: int = 8
+    seed: int = 0
+    edge_mode: str = EDGE_TORUS
+    guard_width: float = 150.0
+    measure_ring: float = 0.7
+    force_all_bs_transmit: bool = True
+    warmup_rounds: int = 5
+
+    def __post_init__(self):
+        if not (self.region_side > 0 and math.isfinite(self.region_side)):
+            raise ValueError("region_side must be positive and finite")
+        if self.n_slots < 1:
+            raise ValueError("n_slots must be at least 1")
+        if self.n_replications < 1:
+            raise ValueError("n_replications must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.edge_mode not in (EDGE_TORUS, EDGE_GUARD):
+            raise ValueError("edge_mode must be 'torus' or 'guard'")
+        if not (0 <= self.guard_width < self.region_side / 2):
+            raise ValueError("guard_width must lie in [0, region_side/2)")
+        if not (0 < self.measure_ring <= 1):
+            raise ValueError("measure_ring must lie in (0, 1]")
+        if self.warmup_rounds < 0:
+            raise ValueError("warmup_rounds must be non-negative")
+        # a cell's warm-up spans at least warmup_rounds slots, so with no
+        # more slots than that no scheduled slot is ever counted
+        if self.n_slots <= self.warmup_rounds:
+            raise ValueError("n_slots must exceed warmup_rounds")

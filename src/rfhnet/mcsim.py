@@ -19,6 +19,9 @@ the same code.
 Estimates are averaged across independent replications whose RNG streams
 are spawned from one master seed, so results are bit-reproducible and do
 not depend on execution order.
+
+The simulator's knobs, SimConfig with its edge modes EDGE_TORUS and
+EDGE_GUARD, live in core and are re-exported here.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import NetworkParams, validate
+from .core import EDGE_GUARD, EDGE_TORUS, NetworkParams, SimConfig, validate
 
 logger = logging.getLogger(__name__)
 
@@ -39,60 +42,6 @@ _MAX_FIELD_RESAMPLES = 100
 # stations per user whose fading is drawn exactly in every slot; the rest
 # of the field is one moment-matched Gamma draw per user and slot
 _NEAR_STATIONS = 32
-
-EDGE_TORUS = "torus"
-EDGE_GUARD = "guard"
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulator knobs.
-
-    region_side      deployment square side [m]
-    n_slots          scheduled slots per replication
-    n_replications   independent field draws
-    seed             non-negative master seed; replication streams are
-                     spawned from it
-    edge_mode        "torus" wraps distances; "guard" pads the sampling
-                     window by guard_width on each side and restricts
-                     statistics to a centered sub-square
-    guard_width      pad width for guard mode [m]
-    measure_ring     side fraction of the central statistics square (guard
-                     mode only; torus statistics use every user)
-    force_all_bs_transmit  when True every station transmits every slot,
-                     matching the interference field the closed forms
-                     assume; when False empty cells stay silent
-    warmup_rounds    initial scheduling rounds of each cell excluded from
-                     statistics
-    """
-
-    region_side: float = 1000.0
-    n_slots: int = 600
-    n_replications: int = 8
-    seed: int = 0
-    edge_mode: str = EDGE_TORUS
-    guard_width: float = 150.0
-    measure_ring: float = 0.7
-    force_all_bs_transmit: bool = True
-    warmup_rounds: int = 5
-
-    def __post_init__(self):
-        if not (self.region_side > 0 and math.isfinite(self.region_side)):
-            raise ValueError("region_side must be positive and finite")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be at least 1")
-        if self.n_replications < 1:
-            raise ValueError("n_replications must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.edge_mode not in (EDGE_TORUS, EDGE_GUARD):
-            raise ValueError("edge_mode must be 'torus' or 'guard'")
-        if not (0 <= self.guard_width < self.region_side / 2):
-            raise ValueError("guard_width must lie in [0, region_side/2)")
-        if not (0 < self.measure_ring <= 1):
-            raise ValueError("measure_ring must lie in (0, 1]")
-        if self.warmup_rounds < 0:
-            raise ValueError("warmup_rounds must be non-negative")
 
 
 @dataclass

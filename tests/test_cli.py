@@ -517,7 +517,8 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     no_sweep = write_cfg(tmp_path, BASE_NETWORK, name="nosweep.cfg")
     assert cli.main(["sweep", "--config", no_sweep,
                      "--output", str(tmp_path / "x.csv")]) == 2
-    for bad_value in ("policy.plateau_multiple = inf\n", "sim.seed = -1\n"):
+    for bad_value in ("policy.plateau_multiple = inf\n", "sim.seed = -1\n",
+                      "sim.n_slots = 10\nsim.warmup_rounds = 100\n"):
         cfg_path = write_cfg(tmp_path, BASE_NETWORK + bad_value,
                              name="value.cfg")
         assert cli.main(["analytic", "--config", cfg_path]) == 2
@@ -541,20 +542,43 @@ def test_fit_command_writes_profile(tmp_path, capsys):
     assert np.max(np.abs(fitted - target)) <= 0.05 * target.max()
 
 
-def test_cli_import_leaves_out_the_optimizer():
-    """A fresh `import rfhnet.cli` loads the model and the simulator, but
-    not scipy.optimize, which only `rfhnet fit` needs."""
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import json, sys, rfhnet.cli; "
-            "print(json.dumps(sorted(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded = set(json.loads(out))
-    assert "scipy.optimize" not in loaded
-    for name in ("analytic", "config", "numerics", "mcsim"):
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_out_the_optimizer():
+    """A fresh `import rfhnet.cli` loads the closed-form model, but not
+    scipy.optimize, which only `rfhnet fit` needs, nor the simulator and
+    the process pool, which only simulations and parallel sweeps need."""
+    loaded = set(json.loads(_fresh_python(
+        "import json, sys, rfhnet.cli; "
+        "print(json.dumps(sorted(sys.modules)))")))
+    for name in ("scipy.optimize", "scipy.spatial", "rfhnet.mcsim",
+                 "rfhnet.fit", "concurrent.futures.process"):
+        assert name not in loaded, name
+    for name in ("analytic", "config", "numerics", "core"):
         assert f"rfhnet.{name}" in loaded, name
+
+
+def test_submodules_load_on_first_access():
+    """Reading a config does not import the simulator; `rfhnet.mcsim`
+    still resolves after `import rfhnet.cli`, on first access; a name that
+    is no submodule is an AttributeError."""
+    out = _fresh_python(
+        "import sys, rfhnet.config\n"
+        "print('rfhnet.mcsim' in sys.modules)\n"
+        "import rfhnet.cli\n"
+        "print(rfhnet.mcsim.estimate.__name__)\n"
+        "try:\n"
+        "    rfhnet.no_such_module\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n")
+    assert out.split() == ["False", "estimate", "AttributeError"]
 
 
 def test_fit_command_gap_threshold(tmp_path, capsys):

@@ -234,6 +234,8 @@ def test_measure_masks_and_area():
     {"measure_ring": 0.0},
     {"measure_ring": 1.5},
     {"warmup_rounds": -1},
+    {"n_slots": 10, "warmup_rounds": 100},
+    {"n_slots": 5, "warmup_rounds": 5},
 ])
 def test_sim_config_rejects(kwargs):
     with pytest.raises(ValueError):
