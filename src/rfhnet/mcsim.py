@@ -16,6 +16,14 @@ and the interference.  With at most _NEAR_STATIONS stations every link is
 drawn exactly, so a larger constant gives the exact dense model through
 the same code.
 
+The slot loop keeps only what must run in slot order: the fading draws,
+the interference sums, the ready test against the scheduled users' stores,
+the record of their signal and interference, and the store update.  The
+round-robin schedule, the counted-slot mask, the per-user counts and the
+scored rates run once per _SLOT_CHUNK slots, on a (slots, cells) table of
+scheduled users.  Each user's rates are still added in slot order, so the
+chunk length changes no bit of any result.
+
 Estimates are averaged across independent replications whose RNG streams
 are spawned from one master seed, so results are bit-reproducible and do
 not depend on execution order.
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +51,10 @@ _MAX_FIELD_RESAMPLES = 100
 # stations per user whose fading is drawn exactly in every slot; the rest
 # of the field is one moment-matched Gamma draw per user and slot
 _NEAR_STATIONS = 32
+
+# slots whose schedule, counts and scores are handled as one block; it sets
+# only how often that bookkeeping runs, never a result bit
+_SLOT_CHUNK = 64
 
 
 @dataclass
@@ -159,18 +172,23 @@ def _measure_area(config: SimConfig) -> float:
     return (config.measure_ring * config.region_side) ** 2
 
 
-def _log_far_field(near_power: np.ndarray, far_mean: np.ndarray,
-                   far_var: np.ndarray) -> None:
-    """One debug line on how much of each user's field the far draw
-    carries: its share of the mean received power, and of the variance."""
+def _log_replication(near_power: np.ndarray, far_mean: np.ndarray,
+                     far_var: np.ndarray, n_drawn: int, n_slots: int,
+                     loop_s: float) -> None:
+    """One debug line per replication: how much of each user's field the
+    far draw carries (its share of the mean received power, and of the
+    variance), the random variates drawn per slot, and the user-slots the
+    slot loop ran per second."""
     if not len(far_mean):
         return
     mean_share = far_mean / (far_mean + near_power.sum(axis=1))
     var_share = far_var / (far_var + np.square(near_power).sum(axis=1))
     logger.debug("near/far fading: near set %d stations, far mean share "
-                 "median %.3g, far variance share median %.3g max %.3g",
+                 "median %.3g, far variance share median %.3g max %.3g, "
+                 "variates per slot %d, user-slots per second %.4g",
                  near_power.shape[1], float(np.median(mean_share)),
-                 float(np.median(var_share)), float(var_share.max()))
+                 float(np.median(var_share)), float(var_share.max()),
+                 near_power.size + n_drawn, len(far_mean) * n_slots / loop_s)
 
 
 def run_replication(field: FieldRealization, params: NetworkParams,
@@ -224,10 +242,8 @@ def run_replication(field: FieldRealization, params: NetworkParams,
     far_fixed[drawn] = 0.0
     gamma_shape = far_mean[drawn] ** 2 / far_var[drawn]
     gamma_scale = far_var[drawn] / far_mean[drawn]
-    if logger.isEnabledFor(logging.DEBUG):
-        _log_far_field(near_power, far_mean, far_var)
 
-    # flatten rosters so each slot's scheduled users come from one gather;
+    # flatten rosters so a chunk's scheduled users come from one gather;
     # with no users every slot schedules nobody and n_events stays 0
     flat = np.concatenate(field.rosters)
     offsets = np.concatenate(([0], np.cumsum(roster_len[nonempty])))[:-1]
@@ -244,41 +260,53 @@ def run_replication(field: FieldRealization, params: NetworkParams,
         trace["stored_series"] = []
         trace["scheduled"] = []
         trace["ready"] = []
+    debug = logger.isEnabledFor(logging.DEBUG)
+    if debug:
+        loop_start = time.perf_counter()
 
-    for t in range(config.n_slots):
-        rng.standard_exponential(out=received)
-        received *= near_power                      # (U, K) near-link powers
-        # interference summed apart from the signal, so a dominant serving
-        # link cannot cancel it to zero
-        interf = received[:, 1:].sum(axis=1) + far_fixed
-        if drawn.size:
-            interf[drawn] += rng.gamma(gamma_shape, gamma_scale)
-        row_power = interf + received[:, 0]         # (U,) totals
+    for start in range(0, config.n_slots, _SLOT_CHUNK):
+        slots = np.arange(start, min(start + _SLOT_CHUNK, config.n_slots))
+        heads = flat[offsets + slots[:, None] % lens]      # (C, S) schedule
+        ready = np.empty(heads.shape, dtype=bool)
+        signal = np.empty(heads.shape)
+        head_interf = np.empty(heads.shape)
 
-        heads = flat[offsets + t % lens]
-        ready = stored[heads] >= params.e_th
-        counted = (t >= warmup_until) & user_measured[heads]
+        for i, heads_t in enumerate(heads):
+            rng.standard_exponential(out=received)
+            received *= near_power                  # (U, K) near-link powers
+            # interference summed apart from the signal, so a dominant
+            # serving link cannot cancel it to zero
+            interf = received[:, 1:].sum(axis=1) + far_fixed
+            if drawn.size:
+                interf[drawn] += rng.standard_gamma(gamma_shape) * gamma_scale
+            ready_t = ready[i] = stored[heads_t] >= params.e_th
+            signal[i] = received[heads_t, 0]
+            head_interf[i] = interf[heads_t]
+            # a head that delivers banks nothing: its store is reset below
+            stored += params.a_eff * (interf + received[:, 0])
+            stored[heads_t[ready_t]] = 0.0
+            if trace is not None:
+                trace["stored_series"].append(stored.copy())
+                trace["scheduled"].append(heads_t.copy())
+                trace["ready"].append(ready_t)
 
-        sched_count[heads[counted]] += 1
+        counted = (slots[:, None] >= warmup_until) & user_measured[heads]
+        sched_count += np.bincount(heads[counted], minlength=n_users)
         hit = ready & counted
-        if np.any(hit):
-            who = heads[hit]
-            ready_count[who] += 1
-            # an isolated transmitter with zero noise has unbounded rate;
-            # keep the inf rather than masking the degenerate geometry
-            with np.errstate(divide="ignore"):
-                score_sum[who] += np.log2(
-                    1.0 + received[who, 0] / (params.sigma2 + interf[who]))
+        who = heads[hit]                            # slot-major order
+        ready_count += np.bincount(who, minlength=n_users)
+        # add.at accumulates each user's rates in slot order, as one add
+        # per slot would; an isolated transmitter with zero noise has
+        # unbounded rate, kept as inf rather than masking the degenerate
+        # geometry
+        with np.errstate(divide="ignore"):
+            rate = np.log2(1.0 + signal[hit] / (params.sigma2
+                                                + head_interf[hit]))
+        np.add.at(score_sum, who, rate)
 
-        harvesting = np.ones(n_users, dtype=bool)
-        harvesting[heads[ready]] = False
-        stored[harvesting] += params.a_eff * row_power[harvesting]
-        stored[heads[ready]] = 0.0
-
-        if trace is not None:
-            trace["stored_series"].append(stored.copy())
-            trace["scheduled"].append(heads.copy())
-            trace["ready"].append(ready.copy())
+    if debug:
+        _log_replication(near_power, far_mean, far_var, drawn.size,
+                         config.n_slots, time.perf_counter() - loop_start)
 
     observed = sched_count > 0
     n_events = int(sched_count.sum())

@@ -272,6 +272,31 @@ def test_committed_saturation_sweep_reproduces(tmp_path):
         assert a.result == pytest.approx(b.result, rel=1e-10)
 
 
+def test_committed_simulation_row_reproduces():
+    """The simulate rows of results/delivery_vs_bs_density.csv at 1000
+    stations/km^2 (sweep index 5) are what estimate() returns on that
+    point's seed, bit for bit."""
+    from rfhnet.mcsim import estimate
+    params, _, sim, sweep = load_config(
+        str(REPO / "configs" / "delivery_vs_bs_density.cfg"))
+    index = 5
+    value = sweep.values[index]
+    assert value == 1000.0
+    out = estimate(cli._apply_value(params, sweep.parameter, value),
+                   dataclasses.replace(
+                       sim, seed=cli._point_seed(sim.seed, index)))
+    _, rows = cli.read_sweep_csv(
+        str(REPO / "results" / "delivery_vs_bs_density.csv"))
+    committed = {r.metric: (r.result, r.stderr) for r in rows
+                 if r.value == value and r.mode == "simulate"}
+    assert committed == {
+        "p_tr": (7.06992150815466069e-01, 4.50625553261500660e-03),
+        "mean_users": (1.29630276710152259e+00, 9.16490207929173545e-03)}
+    assert (out.p_tr_hat, out.p_tr_stderr) == committed["p_tr"]
+    assert ((out.mean_users_per_nonempty_cell, out.mean_users_stderr)
+            == committed["mean_users"])
+
+
 def test_readme_config_table_lists_every_key():
     cfg = load_config(str(REPO / "configs" / "delivery_vs_bs_density.cfg"))
     keys = {line.split("=", 1)[0] for line in resolved_lines(*cfg)}

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -333,6 +334,10 @@ class GammaCountingRng:
         self.gamma_draws += np.size(shape)
         return self._rng.gamma(shape, scale)
 
+    def standard_gamma(self, shape):
+        self.gamma_draws += np.size(shape)
+        return self._rng.standard_gamma(shape)
+
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
@@ -403,8 +408,10 @@ def test_extreme_path_loss_stays_finite():
 
 
 def test_far_field_shares_logged_at_debug(caplog, capsys):
-    """One debug line per replication reports the near/far split; nothing
-    reaches stdout."""
+    """One debug line per replication reports the near/far split, the
+    variates drawn per slot (an exponential per near link and a Gamma per
+    user, as every user here has a far set) and the slot loop's speed;
+    nothing reaches stdout."""
     p = params_at(200.0, 100.0)
     cfg = SimConfig(n_slots=20, n_replications=3, seed=2)
     with caplog.at_level(logging.DEBUG, logger="rfhnet.mcsim"):
@@ -414,4 +421,91 @@ def test_far_field_shares_logged_at_debug(caplog, capsys):
     assert len(lines) == 3
     assert all(line.startswith("near/far fading: near set 32 stations")
                and "far variance share median" in line for line in lines)
+    users = [len(sample_field(p, cfg, np.random.default_rng(child)).user_xy)
+             for child in np.random.SeedSequence(cfg.seed).spawn(3)]
+    for line, n_users in zip(lines, users):
+        found = re.search(r"variates per slot (\d+), "
+                          r"user-slots per second (\S+)$", line)
+        assert found, line
+        assert int(found.group(1)) == n_users * (mcsim._NEAR_STATIONS + 1)
+        assert float(found.group(2)) > 0
     assert capsys.readouterr().out == ""
+
+
+def test_slot_chunk_changes_no_bit(monkeypatch):
+    """The slot loop does the schedule, counts and scores once per
+    _SLOT_CHUNK slots.  Any chunk length gives the same outcome and the
+    same per-slot trace, here on a guard-ring field whose warm-up ends
+    inside a chunk."""
+    p = params_at(300.0, 450.0)
+    cfg = SimConfig(n_slots=150, n_replications=1, edge_mode=EDGE_GUARD,
+                    guard_width=150.0, measure_ring=0.7, warmup_rounds=3)
+    field = sample_field(p, cfg, np.random.default_rng(21))
+    warmup_ends = [cfg.warmup_rounds * len(r) for r in field.rosters]
+    assert any(end % mcsim._SLOT_CHUNK for end in warmup_ends)
+
+    def run():
+        trace = {}
+        out = run_replication(field, p, cfg, np.random.default_rng(5),
+                              trace=trace)
+        return out, trace
+
+    reference, reference_trace = run()
+    for chunk in (1, 7, 10 ** 6):
+        monkeypatch.setattr(mcsim, "_SLOT_CHUNK", chunk)
+        out, trace = run()
+        assert out == reference
+        assert trace.keys() == reference_trace.keys()
+        for key, series in reference_trace.items():
+            assert len(trace[key]) == len(series) == cfg.n_slots
+            for got, want in zip(trace[key], series):
+                np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# frozen outcomes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,cfg,seed,gamma_per_slot,expected", [
+    pytest.param(
+        params_at(300.0, 450.0),
+        SimConfig(n_slots=150, n_replications=1, edge_mode=EDGE_GUARD,
+                  guard_width=150.0, measure_ring=0.7, warmup_rounds=3),
+        21, 783,
+        ReplicationOutcome(p_tr_hat=0.8955049167102739,
+                           t_avg_hat=0.940491101065534,
+                           t_total_hat=0.00020153380737118588,
+                           mean_users_per_nonempty_cell=2.037037037037037,
+                           n_events=14563),
+        id="guard-warmup"),
+    pytest.param(
+        params_at(250.0, 150.0, sigma2=1e-9),
+        SimConfig(n_slots=150, n_replications=1, force_all_bs_transmit=False),
+        21, 144,
+        ReplicationOutcome(p_tr_hat=0.6477950343611263,
+                           t_avg_hat=1.2175368817244148,
+                           t_total_hat=0.00013027644634451237,
+                           mean_users_per_nonempty_cell=1.3457943925233644,
+                           n_events=15330),
+        id="silent-stations-noise"),
+    # 212 of the field's 448 users keep a far variance that does not
+    # underflow, so only they draw a Gamma variate
+    pytest.param(
+        params_at(45.0, 450.0, e_th=1e-120, alpha=60.0),
+        SimConfig(n_slots=150, n_replications=1),
+        22, 212,
+        ReplicationOutcome(p_tr_hat=0.7993910398332134,
+                           t_avg_hat=40.54573947694096,
+                           t_total_hat=0.0016218295790776383,
+                           mean_users_per_nonempty_cell=10.666666666666666,
+                           n_events=4130),
+        id="alpha60-partial-far-draws"),
+])
+def test_replication_outcomes_are_frozen(p, cfg, seed, gamma_per_slot,
+                                         expected):
+    """Replications recorded with repr from seeded fields: every bit of
+    the outcome, and the number of Gamma variates per slot, stay put."""
+    rng = GammaCountingRng(np.random.default_rng(seed))
+    field = sample_field(p, cfg, rng)
+    assert run_replication(field, p, cfg, rng) == expected
+    assert rng.gamma_draws == gamma_per_slot * cfg.n_slots
